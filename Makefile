@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race chaos soak bench-smoke trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test race chaos soak bench-smoke trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport bench-pair golden-plans golden-plans-check
 
 check: fmt vet lint build test race chaos bench-smoke trace-smoke adapt-smoke golden-plans-check
 
@@ -98,6 +98,16 @@ bench-vm:
 # gates the result.
 bench-transport:
 	$(GO) run ./cmd/orion-bench -transport-json BENCH_transport.json
+
+# Paired before/after runs of the end-to-end benchmark (perfbench): BASE
+# (default HEAD) is built in a throwaway git worktree under
+# .bench_build/, the working tree as it stands, and each workload runs
+# N (default 10) seeded pairs alternating which side goes first. Prints
+# per-metric medians, change/base ratios, failed shares, and whether the
+# loss digests match. Optional: WORKLOADS, RUN_SECONDS, SEED0, TRACE.
+bench-pair:
+	BASE='$(BASE)' N='$(N)' WORKLOADS='$(WORKLOADS)' RUN_SECONDS='$(RUN_SECONDS)' \
+		SEED0='$(SEED0)' TRACE='$(TRACE)' bash scripts/bench-pair.sh
 
 # Vet every shipped example program; unsafe.orion is expected to fail.
 vet-examples:

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 
+	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/lang/vm"
 	"orion/internal/obs"
@@ -36,138 +37,19 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 	tb := obs.NewBuf(0, "dslkernel")
 	spanStart := tb.Begin()
 	defer tb.EndN("kernel.compile", "dsl", spanStart, "src_bytes", int64(len(def.LoopSrc)))
-	loop, err := lang.Parse(def.LoopSrc)
+	lk, err := newLoopKernel(def)
 	if err != nil {
-		return nil, fmt.Errorf("dslkernel: parsing shipped loop: %w", err)
+		return nil, err
 	}
-	if len(def.GlobalNames) != len(def.GlobalVals) {
-		return nil, fmt.Errorf("dslkernel: mismatched globals")
-	}
-	globals := make(map[string]float64, len(def.GlobalNames))
-	for i, n := range def.GlobalNames {
-		globals[n] = def.GlobalVals[i]
-	}
-
-	var vp *vm.Prog
-	var cl *lang.CompiledLoop
-	switch def.Backend {
-	case "", "vm", "compiled", "interp":
-	default:
-		return nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
-	}
-	if def.Backend != "interp" {
-		globalNames := append([]string{}, def.GlobalNames...)
-		globalNames = append(globalNames, def.AccumNames...)
-		env := &lang.CompileEnv{
-			Arrays:  def.ArrayDims,
-			Buffers: def.Buffers,
-			Globals: globalNames,
-		}
-		if def.Backend != "compiled" {
-			vp, err = vm.Compile(loop, env)
-			if err != nil {
-				var nce *lang.NotCompilableError
-				if !errors.As(err, &nce) {
-					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
-				}
-				if def.Backend == "vm" {
-					return nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
-				}
-				vp = nil // outside the VM subset: try the closure backend
-			}
-		}
-		if vp == nil && def.Backend != "vm" {
-			cl, err = lang.CompileLoop(loop, env)
-			if err != nil {
-				var nce *lang.NotCompilableError
-				if !errors.As(err, &nce) {
-					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
-				}
-				if def.Backend == "compiled" {
-					return nil, fmt.Errorf("dslkernel: backend=compiled requested: %w", err)
-				}
-				cl = nil // outside the compiled subset: interpret
-			}
-		}
-	}
-	switch {
-	case vp != nil:
-		obs.GetCounter("kernel.vm").Inc()
-	case cl != nil:
-		obs.GetCounter("kernel.compiled").Inc()
-	default:
-		obs.GetCounter("kernel.interp_fallback").Inc()
-	}
-
-	// The kernel is invoked only from its executor's message loop, so a
-	// single lazily initialized machine per kernel instance suffices.
-	loopName := def.LoopName
-	// Seed the rand() builtin deterministically per (loop, executor,
-	// block): sampling kernels (e.g. Gibbs) stay reproducible, both
-	// backends draw the same sequence, and — because the seed is keyed
-	// on the block's (pass, step) clock rather than on how many blocks
-	// this process has executed — a run that recovers from a checkpoint
-	// mid-loop draws exactly the sequence the fault-free run would have
-	// drawn for the same block.
-	seedRng := func(ctx *runtime.Ctx) *rand.Rand {
-		h := fnv.New64a()
-		h.Write([]byte(loopName))
-		seed := int64(h.Sum64()) ^ int64(ctx.ExecutorID()*7919)
-		seed ^= int64(ctx.BlockPass())*1_000_003 + int64(ctx.BlockStep())*9176
-		return rand.New(rand.NewSource(seed))
-	}
-	var ms *machineState
-	var cs *compiledState
-	var vs *vmState
-	lastEpoch := int64(-1)
-	kernel := func(ctx *runtime.Ctx, key []int64, val float64) {
-		reseed := ctx.BlockEpoch() != lastEpoch
-		lastEpoch = ctx.BlockEpoch()
-		if vp != nil {
-			if vs == nil {
-				vs = newVMState(ctx, vp, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-			}
-			if reseed {
-				vs.k.SetRng(seedRng(ctx))
-			}
-			vs.run(ctx, key, val)
-			return
-		}
-		if cl != nil {
-			if cs == nil {
-				cs = newCompiledState(ctx, cl, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-			}
-			if reseed {
-				cs.k.SetRng(seedRng(ctx))
-			}
-			cs.run(ctx, key, val)
-			return
-		}
-		if ms == nil {
-			ms = newMachineState(ctx, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-		}
-		if reseed {
-			ms.m.Rng = seedRng(ctx)
-		}
-		ms.run(ctx, key, val)
-	}
+	ks := &runtime.KernelSet{Iter: func(ctx *runtime.Ctx, key []int64, val float64) { lk.iter(ctx, key, val) }}
 	// The VM additionally exposes the batched block form: one
 	// dispatch-loop entry and one panic recovery per block instead of
 	// per iteration. Accumulator deltas still fold per iteration (via
 	// the per-iteration callback), so the block path is bitwise
 	// identical to the one-at-a-time path.
-	var block runtime.BlockKernel
-	if vp != nil {
-		block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
-			reseed := ctx.BlockEpoch() != lastEpoch
-			lastEpoch = ctx.BlockEpoch()
-			if vs == nil {
-				vs = newVMState(ctx, vp, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-			}
-			if reseed {
-				vs.k.SetRng(seedRng(ctx))
-			}
-			return vs.runBlock(ctx, keys, vals)
+	if lk.vp != nil {
+		ks.Block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
+			return lk.block(ctx, keys, vals)
 		}
 	}
 
@@ -182,7 +64,7 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 		}
 		pf = art.Prefetch
 	}
-	prefetch := map[string]runtime.PrefetchFunc{}
+	ks.Prefetch = map[string]runtime.PrefetchFunc{}
 	if pf != nil && pf.Src != "" && len(pf.Arrays) > 0 {
 		sliced, err := lang.Parse(pf.Src)
 		if err != nil {
@@ -190,12 +72,12 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 		}
 		for _, target := range pf.Arrays {
 			target := target
-			prefetch[target] = func(key []int64, val float64) []int64 {
+			ks.Prefetch[target] = func(key []int64, val float64) []int64 {
 				m := lang.NewMachine()
 				for name, d := range def.ArrayDims {
 					m.Arrays[name] = dimsOnly(d)
 				}
-				for k, v := range globals {
+				for k, v := range lk.globals {
 					m.Globals[k] = v
 				}
 				m.Recorder = lang.NewRecorder(target)
@@ -206,7 +88,190 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 			}
 		}
 	}
-	return &runtime.KernelSet{Iter: kernel, Block: block, Prefetch: prefetch}, nil
+	return ks, nil
+}
+
+// blockCtx is the part of an executor's runtime.Ctx a DSL kernel uses:
+// its partitions, served-array access, accumulators, and the block
+// clock.
+type blockCtx interface {
+	PartitionOf(array string) *dsm.Partition
+	HasPartition(array string) bool
+	ServedRead(array string, off int64) float64
+	ServedUpdate(array string, off int64, delta float64)
+	ServedSet(array string, off int64, v float64)
+	AccumAdd(name string, v float64)
+	ExecutorID() int
+	BlockPass() int
+	BlockStep() int
+	BlockEpoch() int64
+}
+
+// loopKernel is one executor's instance of a compiled DefineLoop: the
+// chosen backend's program plus the per-executor state, created lazily
+// on the first call. It is invoked only from its executor's message
+// loop, so a single instance suffices.
+type loopKernel struct {
+	def     *runtime.Msg
+	loop    *lang.Loop
+	globals map[string]float64
+	vp      *vm.Prog
+	cl      *lang.CompiledLoop
+
+	vs        *vmState
+	cs        *compiledState
+	ms        *machineState
+	lastEpoch int64
+}
+
+// newLoopKernel parses the shipped loop and lowers it to the first
+// backend of the lattice that accepts it (see Compile).
+func newLoopKernel(def *runtime.Msg) (*loopKernel, error) {
+	loop, err := lang.Parse(def.LoopSrc)
+	if err != nil {
+		return nil, fmt.Errorf("dslkernel: parsing shipped loop: %w", err)
+	}
+	if len(def.GlobalNames) != len(def.GlobalVals) {
+		return nil, fmt.Errorf("dslkernel: mismatched globals")
+	}
+	lk := &loopKernel{def: def, loop: loop, globals: make(map[string]float64, len(def.GlobalNames)), lastEpoch: -1}
+	for i, n := range def.GlobalNames {
+		lk.globals[n] = def.GlobalVals[i]
+	}
+
+	switch def.Backend {
+	case "", "vm", "compiled", "interp":
+	default:
+		return nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
+	}
+	if def.Backend != "interp" {
+		globalNames := append([]string{}, def.GlobalNames...)
+		globalNames = append(globalNames, def.AccumNames...)
+		env := &lang.CompileEnv{
+			Arrays:  def.ArrayDims,
+			Buffers: def.Buffers,
+			Globals: globalNames,
+		}
+		if def.Backend != "compiled" {
+			lk.vp, err = vm.Compile(loop, env)
+			if err != nil {
+				var nce *lang.NotCompilableError
+				if !errors.As(err, &nce) {
+					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
+				}
+				if def.Backend == "vm" {
+					return nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
+				}
+				lk.vp = nil // outside the VM subset: try the closure backend
+			}
+		}
+		if lk.vp == nil && def.Backend != "vm" {
+			lk.cl, err = lang.CompileLoop(loop, env)
+			if err != nil {
+				var nce *lang.NotCompilableError
+				if !errors.As(err, &nce) {
+					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
+				}
+				if def.Backend == "compiled" {
+					return nil, fmt.Errorf("dslkernel: backend=compiled requested: %w", err)
+				}
+				lk.cl = nil // outside the compiled subset: interpret
+			}
+		}
+	}
+	switch {
+	case lk.vp != nil:
+		obs.GetCounter("kernel.vm").Inc()
+	case lk.cl != nil:
+		obs.GetCounter("kernel.compiled").Inc()
+	default:
+		obs.GetCounter("kernel.interp_fallback").Inc()
+	}
+	return lk, nil
+}
+
+// seedRng seeds the rand() builtin deterministically per (loop,
+// executor, block): sampling kernels (e.g. Gibbs) stay reproducible,
+// all backends draw the same sequence, and — because the seed is keyed
+// on the block's (pass, step) clock rather than on how many blocks this
+// process has executed — a run that recovers from a checkpoint mid-loop
+// draws exactly the sequence the fault-free run would have drawn for
+// the same block.
+func (lk *loopKernel) seedRng(ctx blockCtx) *rand.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(lk.def.LoopName))
+	seed := int64(h.Sum64()) ^ int64(ctx.ExecutorID()*7919)
+	seed ^= int64(ctx.BlockPass())*1_000_003 + int64(ctx.BlockStep())*9176
+	return rand.New(rand.NewSource(seed))
+}
+
+// newBlock reports whether ctx has entered a block this kernel has not
+// run in yet, and records it.
+func (lk *loopKernel) newBlock(ctx blockCtx) bool {
+	if ctx.BlockEpoch() == lk.lastEpoch {
+		return false
+	}
+	lk.lastEpoch = ctx.BlockEpoch()
+	return true
+}
+
+// enterVM readies the VM state for one kernel call: it reseeds rand()
+// at a block boundary and binds every partition window before the
+// kernel touches an array; the caller drops the windows (Unbind) when
+// the call returns. A binding never outlives the call that made it:
+// once a block's kernel returns, rotation hands the previous
+// partition's storage back to the buffer pool, recovery and
+// reconfiguration replace partitions outright, and the executor keeps
+// every loop's kernel set for its lifetime (each ParallelFor defines a
+// new loop). A binding kept past the call would read recycled memory in
+// a later block, or pin a finished loop's partitions.
+func (lk *loopKernel) enterVM(ctx blockCtx) *vmState {
+	if lk.vs == nil {
+		lk.vs = newVMState(ctx, lk.vp, lk.loop, lk.def.ArrayDims, lk.def.Buffers, lk.globals, lk.def.AccumNames)
+	}
+	if lk.newBlock(ctx) {
+		lk.vs.k.SetRng(lk.seedRng(ctx))
+	}
+	lk.vs.k.Rebind()
+	return lk.vs
+}
+
+// iter runs one iteration on the selected backend. The runtime takes
+// the batched entry (block) for VM kernels; this one binds the windows
+// per iteration.
+func (lk *loopKernel) iter(ctx blockCtx, key []int64, val float64) {
+	if lk.vp != nil {
+		vs := lk.enterVM(ctx)
+		defer vs.k.Unbind()
+		vs.run(ctx, key, val)
+		return
+	}
+	reseed := lk.newBlock(ctx)
+	if lk.cl != nil {
+		if lk.cs == nil {
+			lk.cs = newCompiledState(ctx, lk.cl, lk.loop, lk.def.ArrayDims, lk.def.Buffers, lk.globals, lk.def.AccumNames)
+		}
+		if reseed {
+			lk.cs.k.SetRng(lk.seedRng(ctx))
+		}
+		lk.cs.run(ctx, key, val)
+		return
+	}
+	if lk.ms == nil {
+		lk.ms = newMachineState(ctx, lk.loop, lk.def.ArrayDims, lk.def.Buffers, lk.globals, lk.def.AccumNames)
+	}
+	if reseed {
+		lk.ms.m.Rng = lk.seedRng(ctx)
+	}
+	lk.ms.run(ctx, key, val)
+}
+
+// block runs a whole block in one VM entry, binding the partition
+// windows once for the block; only VM kernels have it.
+func (lk *loopKernel) block(ctx blockCtx, keys [][]int64, vals []float64) (int, error) {
+	vs := lk.enterVM(ctx)
+	defer vs.k.Unbind()
+	return vs.runBlock(ctx, keys, vals)
 }
 
 // vmState is one executor's bytecode-VM kernel instance for one loop:
@@ -219,7 +284,7 @@ type vmState struct {
 	lastAcc []float64
 }
 
-func newVMState(ctx *runtime.Ctx, vp *vm.Prog, loop *lang.Loop,
+func newVMState(ctx blockCtx, vp *vm.Prog, loop *lang.Loop,
 	dims map[string][]int64, buffers map[string]string,
 	globals map[string]float64, accums []string) *vmState {
 	k := vp.NewKernel()
@@ -259,7 +324,7 @@ func newVMState(ctx *runtime.Ctx, vp *vm.Prog, loop *lang.Loop,
 	return vs
 }
 
-func (vs *vmState) run(ctx *runtime.Ctx, key []int64, val float64) {
+func (vs *vmState) run(ctx blockCtx, key []int64, val float64) {
 	if err := vs.k.RunIteration(key, val); err != nil {
 		panic(fmt.Sprintf("dslkernel: vm kernel: %v", err))
 	}
@@ -269,7 +334,7 @@ func (vs *vmState) run(ctx *runtime.Ctx, key []int64, val float64) {
 // runBlock executes a whole block in one VM entry. The per-iteration
 // callback folds accumulator deltas exactly as the one-at-a-time path
 // does, so both paths produce bit-identical accumulator streams.
-func (vs *vmState) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
+func (vs *vmState) runBlock(ctx blockCtx, keys [][]int64, vals []float64) (int, error) {
 	done, err := vs.k.RunBlock(keys, vals, func(int) { vs.fold(ctx) })
 	if err != nil {
 		return done, fmt.Errorf("dslkernel: vm kernel: %v", err)
@@ -277,7 +342,7 @@ func (vs *vmState) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64) (i
 	return done, nil
 }
 
-func (vs *vmState) fold(ctx *runtime.Ctx) {
+func (vs *vmState) fold(ctx blockCtx) {
 	for i, a := range vs.accums {
 		cur := vs.k.GlobalAt(vs.slots[i])
 		if d := cur - vs.lastAcc[i]; d != 0 {
@@ -297,7 +362,7 @@ type compiledState struct {
 	lastAcc []float64
 }
 
-func newCompiledState(ctx *runtime.Ctx, cl *lang.CompiledLoop, loop *lang.Loop,
+func newCompiledState(ctx blockCtx, cl *lang.CompiledLoop, loop *lang.Loop,
 	dims map[string][]int64, buffers map[string]string,
 	globals map[string]float64, accums []string) *compiledState {
 	k := cl.NewKernel()
@@ -337,7 +402,7 @@ func newCompiledState(ctx *runtime.Ctx, cl *lang.CompiledLoop, loop *lang.Loop,
 	return cs
 }
 
-func (cs *compiledState) run(ctx *runtime.Ctx, key []int64, val float64) {
+func (cs *compiledState) run(ctx blockCtx, key []int64, val float64) {
 	if err := cs.k.RunIteration(key, val); err != nil {
 		panic(fmt.Sprintf("dslkernel: compiled kernel: %v", err))
 	}
@@ -358,7 +423,7 @@ type machineState struct {
 	lastAcc map[string]float64
 }
 
-func newMachineState(ctx *runtime.Ctx, loop *lang.Loop, dims map[string][]int64,
+func newMachineState(ctx blockCtx, loop *lang.Loop, dims map[string][]int64,
 	buffers map[string]string, globals map[string]float64, accums []string) *machineState {
 	m := lang.NewMachine()
 	for name, d := range dims {
@@ -387,7 +452,7 @@ func newMachineState(ctx *runtime.Ctx, loop *lang.Loop, dims map[string][]int64,
 	return ms
 }
 
-func (ms *machineState) run(ctx *runtime.Ctx, key []int64, val float64) {
+func (ms *machineState) run(ctx blockCtx, key []int64, val float64) {
 	if err := ms.m.RunIteration(ms.loop, key, val); err != nil {
 		panic(fmt.Sprintf("dslkernel: interpreted kernel: %v", err))
 	}
@@ -408,8 +473,11 @@ func asFloat(v lang.Value) float64 {
 // partView adapts an executor's (possibly rotated) partition to the
 // interpreter's ArrayAccess, with global coordinates. The partition is
 // looked up per access because rotation replaces it between blocks.
+// It also forwards the partition's dense window (lang.DenseAccess), so
+// the VM runs its flat-offset paths over the partition's own storage;
+// that binding lasts for one kernel call (see loopKernel.enterVM).
 type partView struct {
-	ctx  *runtime.Ctx
+	ctx  blockCtx
 	name string
 	dims []int64
 }
@@ -421,12 +489,15 @@ func (p *partView) At(idx ...int64) float64 {
 func (p *partView) SetAt(v float64, idx ...int64) {
 	p.ctx.PartitionOf(p.name).SetAt(v, idx...)
 }
+func (p *partView) DenseWindow(lo, hi []int64) ([]float64, []int64) {
+	return p.ctx.PartitionOf(p.name).DenseWindow(lo, hi)
+}
 
 // servedView adapts parameter-server reads; writes must go through a
 // DistArray Buffer (dependence analysis would have rejected the loop
 // otherwise).
 type servedView struct {
-	ctx  *runtime.Ctx
+	ctx  blockCtx
 	name string
 	dims []int64
 }
@@ -445,7 +516,7 @@ func (s *servedView) SetAt(v float64, idx ...int64) {
 // ctxBuffer adapts DistArray Buffer writes to served-array update
 // batches.
 type ctxBuffer struct {
-	ctx    *runtime.Ctx
+	ctx    blockCtx
 	target string
 	dims   []int64
 }

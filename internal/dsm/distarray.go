@@ -101,11 +101,22 @@ func (a *DistArray) Len() int {
 
 // Flatten converts an index tuple to the flattened offset.
 func (a *DistArray) Flatten(idx ...int64) int64 {
+	return a.flattenShifted(idx, -1, 0)
+}
+
+// flattenShifted is Flatten of idx with idx[dim] reduced by shift,
+// computed without copying or mutating idx (dim < 0 shifts nothing).
+// Partitions use it to rebase global coordinates into their local
+// array.
+func (a *DistArray) flattenShifted(idx []int64, dim int, shift int64) int64 {
 	if len(idx) != len(a.dims) {
 		panic(fmt.Sprintf("dsm: %s: %d subscripts for %d dims", a.name, len(idx), len(a.dims)))
 	}
 	var off int64
 	for i, v := range idx {
+		if i == dim {
+			v -= shift
+		}
 		if v < 0 || v >= a.dims[i] {
 			panic(fmt.Sprintf("dsm: %s: index %d out of bounds [0,%d) at dim %d", a.name, v, a.dims[i], i))
 		}
@@ -126,7 +137,10 @@ func (a *DistArray) Unflatten(off int64) []int64 {
 
 // At is a point query (e.g. A[1, 3, 2]).
 func (a *DistArray) At(idx ...int64) float64 {
-	off := a.Flatten(idx...)
+	return a.atOffset(a.Flatten(idx...))
+}
+
+func (a *DistArray) atOffset(off int64) float64 {
 	if a.IsDense() {
 		return a.dense[off]
 	}
@@ -135,7 +149,10 @@ func (a *DistArray) At(idx ...int64) float64 {
 
 // SetAt writes one element.
 func (a *DistArray) SetAt(v float64, idx ...int64) {
-	off := a.Flatten(idx...)
+	a.setOffset(v, a.Flatten(idx...))
+}
+
+func (a *DistArray) setOffset(v float64, off int64) {
 	if a.IsDense() {
 		a.dense[off] = v
 		return
@@ -189,13 +206,26 @@ func (a *DistArray) Vec(rest ...int64) []float64 {
 	return a.dense[off : off+a.dims[0]]
 }
 
-// DenseData exposes the flat storage and strides of a dense array for
-// fused offset arithmetic (lang.DenseAccess); sparse arrays return
-// (nil, nil). Both slices are live: writes through data are visible,
-// and neither may be resized.
+// DenseData exposes the flat storage and strides of a dense array (the
+// raw view the rotation codec and the buffer pool work on); sparse
+// arrays return (nil, nil). Both slices are live: writes through data
+// are visible, and neither may be resized.
 func (a *DistArray) DenseData() (data []float64, stride []int64) {
 	if !a.IsDense() {
 		return nil, nil
+	}
+	return a.dense, a.stride
+}
+
+// DenseWindow implements lang.DenseAccess for the whole array: the
+// window is [0, dims[d]) in every dimension. lo and hi must have one
+// entry per dimension.
+func (a *DistArray) DenseWindow(lo, hi []int64) (data []float64, stride []int64) {
+	if !a.IsDense() {
+		return nil, nil
+	}
+	for d, n := range a.dims {
+		lo[d], hi[d] = 0, n
 	}
 	return a.dense, a.stride
 }

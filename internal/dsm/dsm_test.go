@@ -199,6 +199,77 @@ func TestPartitionGlobalCoords(t *testing.T) {
 	}
 }
 
+// TestPartitionAccessAllocFree: global-coordinate point access rebases
+// into the local array without copying the index, and leaves the
+// caller's index untouched.
+func TestPartitionAccessAllocFree(t *testing.T) {
+	for _, a := range []*DistArray{NewDense("W", 3, 10), NewSparse("S", 3, 10)} {
+		p := a.ExtractRange(1, 4, 9)
+		idx := []int64{2, 6}
+		allocs := testing.AllocsPerRun(100, func() {
+			p.SetAt(p.At(idx...)+1, idx...)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: partition At+SetAt allocates %v times, want 0", a.Name(), allocs)
+		}
+		if idx[0] != 2 || idx[1] != 6 {
+			t.Fatalf("%s: caller's index mutated to %v", a.Name(), idx)
+		}
+		if got := p.Local.At(2, 2); got != 101 {
+			t.Fatalf("%s: local element = %v, want 101", a.Name(), got)
+		}
+	}
+}
+
+// TestPartitionOutOfWindowPanics: a coordinate outside the partition's
+// range panics with the local array's bounds message for the rebased
+// coordinate.
+func TestPartitionOutOfWindowPanics(t *testing.T) {
+	p := NewDense("W", 2, 10).ExtractRange(1, 5, 8)
+	for _, tc := range []struct {
+		col  int64
+		want string
+	}{
+		{4, "dsm: W: index -1 out of bounds [0,3) at dim 1"},
+		{8, "dsm: W: index 3 out of bounds [0,3) at dim 1"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Fatalf("At(1, %d) panicked with %v, want %q", tc.col, r, tc.want)
+				}
+			}()
+			p.At(1, tc.col)
+		}()
+	}
+}
+
+// TestDenseWindow: a whole array is the zero-origin window; a partition
+// reports its range along its dimension; sparse and degenerate
+// partitions have no dense window.
+func TestDenseWindow(t *testing.T) {
+	a := NewDense("W", 2, 10)
+	lo, hi := make([]int64, 2), make([]int64, 2)
+	if data, stride := a.DenseWindow(lo, hi); len(data) != 20 || stride[1] != 2 ||
+		lo[0] != 0 || lo[1] != 0 || hi[0] != 2 || hi[1] != 10 {
+		t.Fatalf("array window: len=%d stride=%v lo=%v hi=%v", len(data), stride, lo, hi)
+	}
+	p := a.ExtractRange(1, 3, 7)
+	if data, _ := p.DenseWindow(lo, hi); len(data) != 8 || lo[1] != 3 || hi[1] != 7 || hi[0] != 2 {
+		t.Fatalf("partition window: len=%d lo=%v hi=%v", len(data), lo, hi)
+	}
+	if data, _ := a.ExtractRange(1, 4, 4).DenseWindow(lo, hi); data != nil {
+		t.Fatal("degenerate partition reports a dense window")
+	}
+	if data, _ := NewSparse("S", 2, 10).ExtractRange(1, 3, 7).DenseWindow(lo, hi); data != nil {
+		t.Fatal("sparse partition reports a dense window")
+	}
+	var none *Partition
+	if data, _ := none.DenseWindow(lo, hi); data != nil {
+		t.Fatal("nil partition reports a dense window")
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	a := NewSparse("Z", 5, 5)
 	a.SetAt(1.25, 4, 4)

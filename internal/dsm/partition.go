@@ -77,18 +77,34 @@ func (p *Partition) WriteBack(a *DistArray) {
 	})
 }
 
-// At reads an element using *global* coordinates.
+// At reads an element using *global* coordinates. The rebase into the
+// local array neither copies nor mutates idx, so the call does not
+// allocate.
 func (p *Partition) At(idx ...int64) float64 {
-	nidx := append([]int64(nil), idx...)
-	nidx[p.Dim] -= p.Lo
-	return p.Local.At(nidx...)
+	_ = idx[p.Dim] // a subscript list too short for Dim panics with Go's index error, before Flatten's arity check
+	return p.Local.atOffset(p.Local.flattenShifted(idx, p.Dim, p.Lo))
 }
 
-// SetAt writes an element using *global* coordinates.
+// SetAt writes an element using *global* coordinates, without
+// allocating.
 func (p *Partition) SetAt(v float64, idx ...int64) {
-	nidx := append([]int64(nil), idx...)
-	nidx[p.Dim] -= p.Lo
-	p.Local.SetAt(v, nidx...)
+	_ = idx[p.Dim]
+	p.Local.setOffset(v, p.Local.flattenShifted(idx, p.Dim, p.Lo))
+}
+
+// DenseWindow implements lang.DenseAccess in global coordinates: the
+// local array's storage, with the window [Lo, Hi) along Dim and the
+// full extent along every other dimension. Sparse and degenerate
+// (Hi == Lo) partitions, and a nil partition, report no dense window.
+func (p *Partition) DenseWindow(lo, hi []int64) (data []float64, stride []int64) {
+	if p == nil || p.Hi == p.Lo {
+		return nil, nil
+	}
+	data, stride = p.Local.DenseWindow(lo, hi)
+	if data != nil {
+		lo[p.Dim], hi[p.Dim] = p.Lo, p.Hi
+	}
+	return data, stride
 }
 
 // Contains reports whether global coordinate c along the partition dim

@@ -44,13 +44,20 @@ func kindOfVtype(t vtype) VarKind {
 }
 
 // DenseAccess is the optional raw-storage contract for fused point and
-// row accesses: a dense array that exposes its flat float64 storage and
-// per-dimension strides (stride[0] == 1, so a full first-dimension
-// range is one contiguous run). Implementations with no dense backing
-// return (nil, nil). *dsm.DistArray implements it.
+// row accesses: an array that holds a dense window of its global
+// coordinate space in flat float64 storage. DenseWindow fills lo and hi
+// (one entry per dimension, supplied by the caller so a rebind does not
+// allocate) with the window [lo[d], hi[d]) in global coordinates and
+// returns the storage and its per-dimension strides: element idx lives
+// at data[Σ (idx[d]-lo[d])*stride[d]], and stride[0] == 1, so a full
+// first-dimension range is one contiguous run. Coordinates outside the
+// window go through At/SetAt. Implementations with no dense backing, or
+// an empty window, return (nil, nil). A whole *dsm.DistArray is the
+// zero-origin window; a *dsm.Partition reports its [Lo, Hi) range along
+// its partition dimension.
 type DenseAccess interface {
 	ArrayAccess
-	DenseData() (data []float64, stride []int64)
+	DenseWindow(lo, hi []int64) (data []float64, stride []int64)
 }
 
 // Resolution is the front half of a compilation: types inferred to a

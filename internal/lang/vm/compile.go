@@ -1072,7 +1072,6 @@ func (c *comp) newAccess(x *lang.Index, ai int) int32 {
 		subs:     make([]int32, len(dims)),
 		loReg:    -1,
 		hiReg:    -1,
-		ri:       -1,
 		sid:      -1,
 		sel:      -1,
 	}
@@ -1531,7 +1530,6 @@ func (c *comp) lowerVecIndex(x *lang.Index, mode vecMode) int32 {
 	c.accs[aidx].sid = c.newScratch()
 	dst := c.allocV()
 	if mode == vecConsume && rangeDim == 0 && full && len(dims) >= 1 {
-		c.accs[aidx].ri = c.newIdx(len(dims) - 1)
 		c.emit(opRowViewV, dst, aidx, 0, 0, 0)
 		return dst
 	}

@@ -141,13 +141,79 @@ type diffConfig struct {
 	vecLimit int64
 	seed     int64
 	maxIters int
-	block    bool // drive the VM through RunBlock instead of RunIteration
+	block    bool  // drive the VM through RunBlock instead of RunIteration
+	window   int64 // > 0: bind arrays through partition windows (windowView) cut by this seed
+}
+
+// windowView binds an array through one dsm.Partition — global
+// coordinates, a dense window [Lo, Hi) along the partition dimension,
+// and the partition's reference At/SetAt (which fault outside the
+// window) for everything else: the shape an executor's partitions
+// present to a kernel.
+type windowView struct {
+	*dsm.Partition
+	dims []int64
+}
+
+func (w windowView) Dims() []int64 { return w.dims }
+
+// bindViews returns the views every backend binds. Without cfg.window
+// they are the arrays themselves. With it, each array except the
+// iteration space is cut to a window seeded by cfg.window — mostly a
+// non-zero-origin range, sometimes the full extent or the degenerate
+// Hi == Lo — and writeBack folds the windows back into the arrays
+// after the run, so results compare on whole arrays.
+func bindViews(prog *lang.Program, arrays map[string]*dsm.DistArray, cfg diffConfig) (views map[string]lang.ArrayAccess, writeBack func()) {
+	views = make(map[string]lang.ArrayAccess, len(arrays))
+	var parts []*dsm.Partition
+	names := make([]string, 0, len(arrays))
+	for n := range arrays {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(cfg.window))
+	for _, n := range names {
+		a := arrays[n]
+		if cfg.window == 0 || n == prog.Loop.IterVar {
+			views[n] = a
+			continue
+		}
+		dims := a.Dims()
+		dim := rng.Intn(len(dims))
+		ext := dims[dim]
+		var lo, hi int64
+		switch r := rng.Intn(8); {
+		case r < 2:
+			lo, hi = 0, ext
+		case r == 2:
+			lo = rng.Int63n(ext)
+			hi = lo
+		case r < 5 && ext > 1:
+			// Cut only the low end: most accesses stay in the window.
+			lo, hi = 1+rng.Int63n(ext-1), ext
+		case r == 5 && ext > 1:
+			lo = 1 + rng.Int63n(ext-1)
+			hi = lo + 1 + rng.Int63n(ext-lo)
+		default:
+			lo = rng.Int63n(ext)
+			hi = lo + 1 + rng.Int63n(ext-lo)
+		}
+		p := a.ExtractRange(dim, lo, hi)
+		parts = append(parts, p)
+		views[n] = windowView{Partition: p, dims: dims}
+	}
+	return views, func() {
+		for _, p := range parts {
+			p.WriteBack(arrays[p.Array])
+		}
+	}
 }
 
 func runInterp(prog *lang.Program, globals map[string]float64, cfg diffConfig) backendResult {
 	arrays := buildArrays(prog.Env, cfg.scheme, cfg.seed)
+	views, writeBack := bindViews(prog, arrays, cfg)
 	m := lang.NewMachine()
-	for n, a := range arrays {
+	for n, a := range views {
 		m.Arrays[n] = a
 	}
 	for n, target := range prog.Env.Buffers {
@@ -167,6 +233,7 @@ func runInterp(prog *lang.Program, globals map[string]float64, cfg diffConfig) b
 	res.stop, res.errMsg, res.panicked, res.panicMsg = runOne(func(i int) error {
 		return m.RunIteration(prog.Loop, keys[i], vals[i])
 	}, len(keys))
+	writeBack()
 	for n, b := range m.Buffers {
 		b.(*dsm.Buffer).Flush(arrays[prog.Env.Buffers[n]])
 	}
@@ -201,7 +268,8 @@ func globalNames(globals map[string]float64) []string {
 func runKernel(t *testing.T, prog *lang.Program, globals map[string]float64, cfg diffConfig, k kernelAPI, runBlock func(keys [][]int64, vals []float64, progress *int) (int, error)) backendResult {
 	t.Helper()
 	arrays := buildArrays(prog.Env, cfg.scheme, cfg.seed)
-	for n, a := range arrays {
+	views, writeBack := bindViews(prog, arrays, cfg)
+	for n, a := range views {
 		if err := k.BindArray(n, a); err != nil {
 			t.Fatalf("BindArray(%s): %v", n, err)
 		}
@@ -250,6 +318,7 @@ func runKernel(t *testing.T, prog *lang.Program, globals map[string]float64, cfg
 			return k.RunIteration(keys[i], vals[i])
 		}, len(keys))
 	}
+	writeBack()
 	for n, b := range bufs {
 		b.Flush(arrays[prog.Env.Buffers[n]])
 	}
@@ -449,11 +518,20 @@ func typedSub(rng *rand.Rand) lang.Expr {
 
 func typedVecExpr(rng *rand.Rand, depth int) lang.Expr {
 	if depth <= 0 {
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			return &lang.Index{Base: "A", Subs: []lang.Expr{&lang.RangeExpr{Full: true}, typedSub(rng)}}
 		case 1:
 			return &lang.Call{Fn: "zeros", Args: []lang.Expr{&lang.Num{Val: 4}}}
+		case 2:
+			// A length-3 partial range (B's column length) along either
+			// dimension: the materialized bulk-read shape.
+			lo := float64(1 + rng.Intn(2))
+			r := &lang.RangeExpr{Lo: &lang.Num{Val: lo}, Hi: &lang.Num{Val: lo + 2}}
+			if rng.Intn(2) == 0 {
+				return &lang.Index{Base: "A", Subs: []lang.Expr{r, typedSub(rng)}}
+			}
+			return &lang.Index{Base: "A", Subs: []lang.Expr{typedSub(rng), r}}
 		default:
 			return &lang.Ident{Name: "p"}
 		}
@@ -501,10 +579,32 @@ func typedStmt(rng *rand.Rand, depth int) lang.Stmt {
 			return &lang.Assign{Target: &lang.Index{Base: "A", Subs: []lang.Expr{&lang.RangeExpr{Full: true}, typedSub(rng)}},
 				Op: ops[rng.Intn(len(ops))], Value: typedVecExpr(rng, 2)}
 		case 5:
-			// Partial-range update on the second dimension (strided).
-			return &lang.Assign{Target: &lang.Index{Base: "A", Subs: []lang.Expr{typedSub(rng),
-				&lang.RangeExpr{Lo: &lang.Num{Val: 1}, Hi: &lang.Num{Val: 4}}}},
-				Op: []string{"=", "+=", "*="}[rng.Intn(3)], Value: typedVecExpr(rng, 1)}
+			// Partial-range store or update along either dimension
+			// (strided on the second), with a vector or a broadcast
+			// scalar operand.
+			lo := float64(1 + rng.Intn(2))
+			r := &lang.RangeExpr{Lo: &lang.Num{Val: lo}, Hi: &lang.Num{Val: lo + float64(1+rng.Intn(4-int(lo)))}}
+			subs := []lang.Expr{typedSub(rng), r}
+			if rng.Intn(3) == 0 {
+				subs[0], subs[1] = r, subs[0]
+			}
+			if rng.Intn(3) == 0 {
+				return &lang.Assign{Target: &lang.Index{Base: "A", Subs: subs},
+					Op: []string{"+=", "*="}[rng.Intn(2)], Value: typedFloatExpr(rng, 1)}
+			}
+			var val lang.Expr = typedVecExpr(rng, 1)
+			if rng.Intn(2) == 0 {
+				// A same-shape source, so plain stores match lengths.
+				src := append([]lang.Expr(nil), subs...)
+				for d, sub := range src {
+					if sub != r {
+						src[d] = typedSub(rng)
+					}
+				}
+				val = &lang.BinOp{Op: "*", L: typedFloatExpr(rng, 0), R: &lang.Index{Base: "A", Subs: src}}
+			}
+			return &lang.Assign{Target: &lang.Index{Base: "A", Subs: subs},
+				Op: []string{"=", "+=", "*="}[rng.Intn(3)], Value: val}
 		case 6:
 			return &lang.Assign{Target: &lang.Index{Base: "buf", Subs: []lang.Expr{typedSub(rng), typedSub(rng)}},
 				Op: []string{"+=", "-="}[rng.Intn(2)], Value: typedFloatExpr(rng, 2)}
@@ -531,7 +631,10 @@ func typedStmt(rng *rand.Rand, depth int) lang.Stmt {
 }
 
 // TestDifferentialRandomPrograms: randomly generated (mostly
-// well-typed) loops must behave identically under all three backends.
+// well-typed) loops must behave identically under all three backends,
+// over whole arrays and again over partition windows — which holds the
+// VM's window arithmetic (point mirrors, row views, bulk range paths)
+// and its out-of-window fallback to the interpreter.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	env := &lang.Env{
 		Arrays: map[string][]int64{
@@ -561,12 +664,57 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		}
 		prog := &lang.Program{Env: env, Globals: []string{"g"}, Loop: parsed}
 		cfg := diffConfig{scheme: fillInts, seed: int64(trial), maxIters: 20, block: trial%2 == 0}
-		if diffProgram(t, fmt.Sprintf("trial %d:\n%s", trial, src), prog, cfg) {
+		label := fmt.Sprintf("trial %d:\n%s", trial, src)
+		if diffProgram(t, label, prog, cfg) {
 			compiledCount++
+			for w := int64(1); w <= 4; w++ {
+				cfg.window = int64(trial)*4 + w
+				diffProgram(t, fmt.Sprintf("%s(window seed %d)", label, cfg.window), prog, cfg)
+			}
 		}
 	}
 	if compiledCount < 200 {
 		t.Fatalf("only %d/300 random programs were compilable — generator or compiler subset too narrow", compiledCount)
+	}
+}
+
+// TestDifferentialWindows: one program per dense path — rank-1, rank-2
+// and rank-3 point access, row view, materialized range read, strided
+// and contiguous range stores, vector and scalar range updates — run
+// over many partition windows, so every path's window arithmetic and
+// its out-of-window fallback meet the interpreter on each window shape.
+// Each body touches one array, so no other array's window faults first.
+func TestDifferentialWindows(t *testing.T) {
+	env := &lang.Env{Arrays: map[string][]int64{
+		"data": {4, 4}, "A": {4, 4}, "r": {4}, "T": {4, 4, 3},
+	}}
+	bodies := []string{
+		"    r[key[1]] += v\n    x = r[key[2]]\n    r[key[2]] = x * 2\n",
+		"    T[key[1], key[2], 2] += v\n    x = T[key[2], key[1], 2]\n    T[key[1], key[1], 3] = x\n",
+		"    s = dot(A[:, key[2]], A[:, key[1]])\n    A[key[1], key[2]] += s * 0.01\n",
+		"    p = A[2:3, key[2]]\n    q = A[key[1], 2:4]\n    x = p[1] + q[2] + A[key[1], key[2]]\n    A[key[2], key[1]] = x\n",
+		"    A[key[1], 2:4] = 0.5 * A[key[2], 2:4]\n",
+		"    A[2:4, key[2]] = v * A[1:3, key[1]]\n",
+		"    A[key[1], 2:3] += A[key[2], 1:2]\n    A[2:4, key[2]] *= 1.5\n",
+	}
+	for bi, body := range bodies {
+		src := "for (key, v) in data\n" + body + "end\n"
+		loop, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("body %d: %v\n%s", bi, err, src)
+		}
+		prog := &lang.Program{Env: env, Loop: loop}
+		for w := int64(1); w <= 100; w++ {
+			// Interior walks start at coordinate 1, inside the windows
+			// that cut only the low end, so those runs get past the
+			// first access.
+			for _, interior := range []bool{false, true} {
+				cfg := diffConfig{scheme: fillFloats, seed: int64(bi), window: w, block: w%2 == 0, interior: interior}
+				if !diffProgram(t, fmt.Sprintf("window seed %d, interior=%v:\n%s", w, interior, src), prog, cfg) {
+					t.Fatalf("body %d is outside the compiled subset:\n%s", bi, src)
+				}
+			}
+		}
 	}
 }
 

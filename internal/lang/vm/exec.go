@@ -758,57 +758,63 @@ func (k *Kernel) rangeBounds(acc *access) (lo, hi int64) {
 	return int64(k.fr[acc.loReg]) - 1, int64(k.fr[acc.hiReg]) - 1
 }
 
-// rangeInBounds reports whether every element the range touches is in
-// bounds, so the bulk path can skip per-element checks. Anything else
-// (including empty ranges) takes the At/SetAt path whose panics are the
-// reference behavior.
-func rangeInBounds(acc *access, ix []int64, lo, hi int64) bool {
+// rangeInBounds reports whether every element the range touches lies
+// inside the bound dense window [wlo, whi), so the bulk path can skip
+// per-element checks. Anything else (including empty ranges) takes the
+// At/SetAt path, whose panics are the reference behavior.
+func rangeInBounds(acc *access, ix []int64, lo, hi int64, wlo, whi []int64) bool {
 	rd := int(acc.rangeDim)
-	if lo > hi || lo < 0 || hi >= acc.dims[rd] {
+	if lo > hi || lo < wlo[rd] || hi >= whi[rd] {
 		return false
 	}
 	for d, v := range ix {
 		if d == rd {
 			continue
 		}
-		if v < 0 || v >= acc.dims[d] {
+		if v < wlo[d] || v >= whi[d] {
 			return false
 		}
 	}
 	return true
 }
 
-// restOffset sums the non-range coordinate offsets.
-func restOffset(ix []int64, stride []int64, rd int) int64 {
+// restOffset sums the window-relative offsets of the non-range
+// coordinates.
+func restOffset(ix []int64, stride, wlo []int64, rd int) int64 {
 	var off int64
 	for d, v := range ix {
 		if d == rd {
 			continue
 		}
-		off += v * stride[d]
+		off += (v - wlo[d]) * stride[d]
 	}
 	return off
 }
 
-// ldPt is SubscriptLoadF: a fused point read. In-bounds dense accesses
-// go straight to flat storage; everything else goes through At, whose
-// panic is the reference out-of-bounds behavior.
+// denseOff resolves a full-rank 0-based index into the bound dense
+// window of array slot ai; ok=false when the array has no dense window
+// or the index lies outside it.
+func (k *Kernel) denseOff(ai int32, ix []int64) (off int64, ok bool) {
+	if k.dense[ai] == nil {
+		return 0, false
+	}
+	stride, wlo, whi := k.stride[ai], k.wlo[ai], k.whi[ai]
+	for d, v := range ix {
+		if v < wlo[d] || v >= whi[d] {
+			return 0, false
+		}
+		off += (v - wlo[d]) * stride[d]
+	}
+	return off, true
+}
+
+// ldPt is SubscriptLoadF: a fused point read. Dense accesses inside the
+// bound window go straight to flat storage; everything else goes
+// through At, whose panic is the reference out-of-bounds behavior.
 func (k *Kernel) ldPt(acc *access) float64 {
 	ix := k.fillIx(acc)
-	if data := k.dense[acc.ai]; data != nil {
-		stride := k.stride[acc.ai]
-		off := int64(0)
-		ok := true
-		for d, v := range ix {
-			if v < 0 || v >= acc.dims[d] {
-				ok = false
-				break
-			}
-			off += v * stride[d]
-		}
-		if ok {
-			return data[off]
-		}
+	if off, ok := k.denseOff(acc.ai, ix); ok {
+		return k.dense[acc.ai][off]
 	}
 	return k.arrays[acc.ai].At(ix...)
 }
@@ -817,25 +823,14 @@ func (k *Kernel) ldPt(acc *access) float64 {
 // compound.
 func (k *Kernel) stPt(acc *access, v float64, sel int32) {
 	ix := k.fillIx(acc)
-	if data := k.dense[acc.ai]; data != nil {
-		stride := k.stride[acc.ai]
-		off := int64(0)
-		ok := true
-		for d, c := range ix {
-			if c < 0 || c >= acc.dims[d] {
-				ok = false
-				break
-			}
-			off += c * stride[d]
+	if off, ok := k.denseOff(acc.ai, ix); ok {
+		data := k.dense[acc.ai]
+		if sel >= 0 {
+			data[off] = arith(sel, data[off], v)
+		} else {
+			data[off] = v
 		}
-		if ok {
-			if sel >= 0 {
-				data[off] = arith(sel, data[off], v)
-			} else {
-				data[off] = v
-			}
-			return
-		}
+		return
 	}
 	a := k.arrays[acc.ai]
 	if sel >= 0 {
@@ -845,43 +840,34 @@ func (k *Kernel) stPt(acc *access, v float64, sel int32) {
 }
 
 // rowView is the zero-copy consume borrow of a full first-dimension
-// range: dense arrays return a live slice of their flat storage (the
-// @view of the paper's Fig. 5); out-of-bounds trailing coordinates and
-// non-dense arrays fall back to element-wise At with the exact
-// reference panics and copies.
+// range: a dense window spanning the whole first dimension returns a
+// live slice of its flat storage (the @view of the paper's Fig. 5).
+// Trailing coordinates outside the window, windows cut along the first
+// dimension, and non-dense arrays fall back to element-wise At with the
+// exact reference panics and copies.
 func (k *Kernel) rowView(acc *access) []float64 {
 	a := k.arrays[acc.ai]
-	if data := k.dense[acc.ai]; data != nil {
+	if data, wlo, whi := k.dense[acc.ai], k.wlo[acc.ai], k.whi[acc.ai]; data != nil && wlo[0] == 0 && whi[0] == acc.extent {
 		stride := k.stride[acc.ai]
-		ix := k.idx[acc.ri]
 		var off int64
 		inBounds := true
 		for d, sr := range acc.subs[1:] {
 			v := int64(k.fr[sr]) - 1
-			ix[d] = v
-			if v < 0 || v >= acc.dims[d+1] {
+			if v < wlo[d+1] || v >= whi[d+1] {
 				inBounds = false
-			} else {
-				off += v * stride[d+1]
+				break
 			}
+			off += (v - wlo[d+1]) * stride[d+1]
 		}
 		if inBounds {
 			return data[off : off+acc.extent]
 		}
-		// Out of bounds: take the element-wise path so the panic
-		// matches the interpreter's At-based read.
-		full := k.idx[acc.ii]
-		copy(full[1:], ix)
-		out := k.growScratch(int(acc.sid), int(acc.extent))
-		for v := int64(0); v < acc.extent; v++ {
-			full[0] = v
-			out[v] = a.At(full...)
-		}
-		return out
 	}
-	// Bound but not dense: materialize element-wise like the closure
-	// backend's generic path. The trailing coordinates were already
-	// evaluated into registers, so fillIx only converts.
+	// Outside the dense window, or not dense at all: materialize
+	// element-wise like the closure backend's generic path, so any
+	// panic matches the interpreter's At-based read. The trailing
+	// coordinates were already evaluated into registers, so fillIx
+	// only converts.
 	ix := k.fillIx(acc)
 	out := k.growScratch(int(acc.sid), int(acc.extent))
 	for v := int64(0); v < acc.extent; v++ {
@@ -900,14 +886,13 @@ func (k *Kernel) rowMat(acc *access) []float64 {
 	lo, hi := k.rangeBounds(acc)
 	out := k.growScratch(int(acc.sid), int(hi-lo+1))
 	rd := int(acc.rangeDim)
-	if data := k.dense[acc.ai]; data != nil && rangeInBounds(acc, ix, lo, hi) {
+	if data, wlo := k.dense[acc.ai], k.wlo[acc.ai]; data != nil && rangeInBounds(acc, ix, lo, hi, wlo, k.whi[acc.ai]) {
 		stride := k.stride[acc.ai]
-		off := restOffset(ix, stride, rd)
 		step := stride[rd]
+		base := restOffset(ix, stride, wlo, rd) + (lo-wlo[rd])*step
 		if step == 1 {
-			copy(out, data[off+lo:off+hi+1])
+			copy(out, data[base:base+hi-lo+1])
 		} else {
-			base := off + lo*step
 			for i := range out {
 				out[i] = data[base]
 				base += step
@@ -932,14 +917,13 @@ func (k *Kernel) rowSt(acc *access, rv []float64) {
 			k.p.names[acc.nameIdx], len(rv), lo+1, hi+1)
 	}
 	rd := int(acc.rangeDim)
-	if data := k.dense[acc.ai]; data != nil && rangeInBounds(acc, ix, lo, hi) {
+	if data, wlo := k.dense[acc.ai], k.wlo[acc.ai]; data != nil && rangeInBounds(acc, ix, lo, hi, wlo, k.whi[acc.ai]) {
 		stride := k.stride[acc.ai]
-		off := restOffset(ix, stride, rd)
 		step := stride[rd]
+		base := restOffset(ix, stride, wlo, rd) + (lo-wlo[rd])*step
 		if step == 1 {
-			copy(data[off+lo:off+hi+1], rv)
+			copy(data[base:base+hi-lo+1], rv)
 		} else {
-			base := off + lo*step
 			for i := range rv {
 				data[base] = rv[i]
 				base += step
@@ -962,13 +946,13 @@ func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 	lo, hi := k.rangeBounds(acc)
 	cur := k.growScratch(int(acc.sid), int(hi-lo+1))
 	rd := int(acc.rangeDim)
-	data := k.dense[acc.ai]
-	bulk := data != nil && rangeInBounds(acc, ix, lo, hi)
+	data, wlo := k.dense[acc.ai], k.wlo[acc.ai]
+	bulk := data != nil && rangeInBounds(acc, ix, lo, hi, wlo, k.whi[acc.ai])
 	var base, step int64
 	if bulk {
 		stride := k.stride[acc.ai]
 		step = stride[rd]
-		base = restOffset(ix, stride, rd) + lo*step
+		base = restOffset(ix, stride, wlo, rd) + (lo-wlo[rd])*step
 		if step == 1 {
 			copy(cur, data[base:base+int64(len(cur))])
 		} else {

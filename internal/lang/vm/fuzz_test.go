@@ -11,7 +11,8 @@ import (
 // under the interpreter, the closure compiler, and the bytecode VM —
 // same stop point, same error or panic, same DistArray and global
 // values — and the two compiled backends must agree exactly on what is
-// compilable. Seeded with the full shipped example corpus.
+// compilable. Each program runs over whole arrays and again over
+// partition windows. Seeded with the full shipped example corpus.
 func FuzzExecDifferential(f *testing.F) {
 	for _, src := range exampleProgramSources(f) {
 		f.Add(src)
@@ -49,6 +50,11 @@ func FuzzExecDifferential(f *testing.F) {
 			vecLimit: 1 << 10,
 			maxIters: 128,
 		}
-		diffProgram(t, "fuzz program:\n"+src, prog, cfg)
+		if diffProgram(t, "fuzz program:\n"+src, prog, cfg) {
+			for w := int64(1); w <= 2; w++ {
+				cfg.window = w
+				diffProgram(t, "fuzz program (windowed):\n"+src, prog, cfg)
+			}
+		}
 	})
 }

@@ -6,12 +6,26 @@
 // same runtime-error messages, bitwise-identical results — but fused
 // subscript ops (SubscriptLoadF/SubscriptStoreF, row view/store,
 // AxpyRow, DotRows) operate on dense array storage through flat offset
-// arithmetic (lang.DenseAccess) instead of per-element interface calls,
-// and RunBlock executes a run of consecutive iterations without
-// re-entering the dispatch preamble per element.
+// arithmetic instead of per-element interface calls, and RunBlock
+// executes a run of consecutive iterations without re-entering the
+// dispatch preamble per element.
+//
+// The dense storage comes from one windowed contract, lang.DenseAccess:
+// a bound view reports its storage, strides, and a global-coordinate
+// window [lo, hi) per dimension. A whole DistArray is the zero-origin
+// window; an executor's dsm.Partition is the window [Lo, Hi) along its
+// partition dimension. Accesses inside the window use the flat-offset
+// paths; everything else (outside the window, sparse or degenerate
+// storage) goes through the view's At/SetAt, so faults are the
+// reference ones. A binding holds the storage itself: when a view's
+// storage can change between runs — rotation returns a partition's
+// buffer to the pool once a block ends — the caller must Rebind before
+// the next run, and a kernel that outlives the storage it ran over
+// must Unbind, or it keeps that storage alive.
 //
 // Differential tests in this package hold all three backends to
-// bitwise-identical DistArray, accumulator, and error results.
+// bitwise-identical DistArray, accumulator, and error results, over
+// whole arrays and over partition windows.
 package vm
 
 import (
@@ -203,23 +217,25 @@ type access struct {
 	loReg    int32   // partial-range bound registers
 	hiReg    int32
 	ii       int32 // full-rank index buffer
-	ri       int32 // rank-1 index buffer (row fast path)
 	sid      int32 // scratch id (materialized reads, compound current values)
 	sel      int32 // arith selector for compound range updates
 }
 
 // rtAcc is the runtime mirror of one point-access site, resolved when
-// its array binds: the dense storage and the site's strides, extents,
-// and subscript registers flattened into one fixed-size struct so the
-// hot opcodes compute a flat offset without chasing the per-array
-// dense/stride tables. Rank-1 sites reuse the rank-2 shape with a zero
-// second stride, an always-passing second extent, and sub1 aliased to
-// sub0, so the fast path stays small enough to inline into the
-// dispatch loop. Unbound, non-dense, or rank ≥3 sites keep fast=false
-// and route through the reference accessors.
+// its array binds: the dense window's storage and the site's strides,
+// window origins and extents, and subscript registers flattened into
+// one fixed-size struct so the hot opcodes compute a flat offset
+// without chasing the per-array dense/stride/window tables. The origin
+// o is the window's lower bound plus one, folding the DSL's 1-based
+// subscripts into the same subtraction. Rank-1 sites reuse the rank-2
+// shape with a zero second stride, an always-passing second extent,
+// and sub1 aliased to sub0, so the fast path stays small enough to
+// inline into the dispatch loop. Unbound, non-dense, or rank ≥3 sites
+// keep fast=false and route through the reference accessors.
 type rtAcc struct {
 	data       []float64
 	s0, s1     int64
+	o0, o1     int64
 	d0, d1     uint64
 	sub0, sub1 int32
 	fast       bool
@@ -228,13 +244,14 @@ type rtAcc struct {
 // ptOff resolves a point access's flat offset through its runtime
 // mirror. ok=false sends the caller to the reference path — which
 // repeats the bounds check and reports the fault when a coordinate is
-// actually out of range.
+// actually out of range, or serves it when it lies outside the bound
+// window but inside the array.
 func ptOff(fr []float64, ra *rtAcc) (int64, bool) {
 	if !ra.fast {
 		return 0, false
 	}
-	v0 := int64(fr[ra.sub0]) - 1
-	v1 := int64(fr[ra.sub1]) - 1
+	v0 := int64(fr[ra.sub0]) - ra.o0
+	v1 := int64(fr[ra.sub1]) - ra.o1
 	if uint64(v0) < ra.d0 && uint64(v1) < ra.d1 {
 		return v0*ra.s0 + v1*ra.s1, true
 	}
@@ -331,6 +348,8 @@ type Kernel struct {
 	arrays  []lang.ArrayAccess
 	dense   [][]float64 // non-nil where flat-offset access applies
 	stride  [][]int64
+	wlo     [][]int64 // dense window [wlo, whi) per array, global coordinates
+	whi     [][]int64
 	racc    []rtAcc // per point-access runtime mirror
 	buffers []lang.BufferAccess
 	rng     lang.RandSource
@@ -363,6 +382,12 @@ func (p *Prog) NewKernel() *Kernel {
 	k.arrays = make([]lang.ArrayAccess, len(p.arrayNames))
 	k.dense = make([][]float64, len(p.arrayNames))
 	k.stride = make([][]int64, len(p.arrayNames))
+	k.wlo = make([][]int64, len(p.arrayNames))
+	k.whi = make([][]int64, len(p.arrayNames))
+	for i, dims := range p.arrayDims {
+		k.wlo[i] = make([]int64, len(dims))
+		k.whi[i] = make([]int64, len(dims))
+	}
 	k.racc = make([]rtAcc, len(p.accs))
 	k.buffers = make([]lang.BufferAccess, len(p.bufNames))
 	k.scratch = make([][]float64, p.nScratch)
@@ -375,7 +400,9 @@ func (p *Prog) NewKernel() *Kernel {
 
 // BindArray binds a DistArray view to its slot; the view's extents must
 // match the compile-time environment. Views implementing
-// lang.DenseAccess with dense backing take the fused flat-offset paths.
+// lang.DenseAccess with a dense window take the fused flat-offset paths
+// for coordinates inside the window; every other access goes through
+// the view's At/SetAt.
 func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 	i, ok := k.p.arrayIx[name]
 	if !ok {
@@ -392,9 +419,53 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 		}
 	}
 	k.arrays[i] = a
+	k.bindDense(i)
+	return nil
+}
+
+// Rebind re-reads the dense window of every bound array and refreshes
+// the flat-offset mirrors, without allocating. A view whose storage can
+// change between runs — an executor partition that rotation, recovery,
+// or reconfiguration replaces at a block boundary — must be rebound
+// before the kernel touches it again: the fast paths hold the storage
+// slice itself, and the storage of a replaced partition may already be
+// recycled.
+func (k *Kernel) Rebind() {
+	for i, a := range k.arrays {
+		if a != nil {
+			k.bindDense(i)
+		}
+	}
+}
+
+// Unbind drops every array's dense window, and the vector registers
+// that may still borrow rows of it, so the kernel no longer references
+// the views' storage; accesses take the reference At/SetAt path until
+// the next Rebind. A kernel that outlives the storage it ran over calls
+// it when the run ends, so it does not keep that storage alive. Vector
+// registers are always written before they are read within an
+// iteration, so clearing them changes no result.
+func (k *Kernel) Unbind() {
+	for i := range k.dense {
+		k.dense[i], k.stride[i] = nil, nil
+	}
+	for j := range k.racc {
+		k.racc[j] = rtAcc{}
+	}
+	for i := range k.vr {
+		k.vr[i] = nil
+	}
+}
+
+// bindDense resolves array slot i's dense window and the runtime
+// mirrors of its point-access sites. Windows that are empty or reach
+// outside the compile-time extents are not bound: those arrays take
+// the reference accessors only.
+func (k *Kernel) bindDense(i int) {
 	k.dense[i], k.stride[i] = nil, nil
-	if da, ok := a.(lang.DenseAccess); ok {
-		if data, stride := da.DenseData(); data != nil {
+	lo, hi := k.wlo[i], k.whi[i]
+	if da, ok := k.arrays[i].(lang.DenseAccess); ok {
+		if data, stride := da.DenseWindow(lo, hi); data != nil && windowFits(lo, hi, k.p.arrayDims[i]) {
 			k.dense[i], k.stride[i] = data, stride
 		}
 	}
@@ -415,17 +486,29 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 			// Rank-1 wears the rank-2 shape: the aliased second
 			// coordinate contributes stride 0 and always bounds-checks
 			// clean unless the first one already failed.
-			ra.data, ra.s0, ra.d0, ra.sub0 = data, stride[0], uint64(acc.dims[0]), acc.subs[0]
-			ra.s1, ra.d1, ra.sub1 = 0, 1<<62, acc.subs[0]
+			ra.data, ra.s0, ra.o0, ra.sub0 = data, stride[0], lo[0]+1, acc.subs[0]
+			ra.d0 = uint64(hi[0] - lo[0])
+			ra.s1, ra.o1, ra.d1, ra.sub1 = 0, lo[0]+1, 1<<62, acc.subs[0]
 			ra.fast = true
 		case 2:
 			ra.data, ra.s0, ra.s1 = data, stride[0], stride[1]
-			ra.d0, ra.d1 = uint64(acc.dims[0]), uint64(acc.dims[1])
+			ra.o0, ra.o1 = lo[0]+1, lo[1]+1
+			ra.d0, ra.d1 = uint64(hi[0]-lo[0]), uint64(hi[1]-lo[1])
 			ra.sub0, ra.sub1 = acc.subs[0], acc.subs[1]
 			ra.fast = true
 		}
 	}
-	return nil
+}
+
+// windowFits reports whether [lo, hi) is a non-empty window inside
+// the extents dims in every dimension.
+func windowFits(lo, hi, dims []int64) bool {
+	for d, n := range dims {
+		if lo[d] < 0 || hi[d] > n || lo[d] >= hi[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // BindBuffer binds a DistArray Buffer to its slot.

@@ -355,3 +355,123 @@ func TestVMRunLoop(t *testing.T) {
 		t.Fatalf("acc = %v, want 10", got)
 	}
 }
+
+// badWindow is a DenseAccess reporting a fixed, possibly invalid,
+// window over real storage.
+type badWindow struct {
+	*dsm.DistArray
+	lo, hi []int64
+}
+
+func (b badWindow) DenseWindow(lo, hi []int64) ([]float64, []int64) {
+	copy(lo, b.lo)
+	copy(hi, b.hi)
+	return b.DistArray.DenseData()
+}
+
+// TestVMWindowBinding: a partition view binds its storage with the
+// partition's window, point sites mirror its origin and extent, row
+// views borrow the partition's storage in place, Rebind follows a
+// replaced partition, and windows that are empty or reach outside the
+// array bind nothing.
+func TestVMWindowBinding(t *testing.T) {
+	p := compileMF(t)
+	k, w, h := bindMF(t, p)
+	wRef, hRef := w.Clone(), h.Clone()
+	wPart, hPart := w.ExtractRange(1, 20, 60), h.ExtractRange(1, 30, 70)
+	for name, part := range map[string]*dsm.Partition{"W": wPart, "H": hPart} {
+		if err := k.BindArray(name, windowView{part, []int64{16, 100}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wi := p.arrayIx["W"]
+	data, _ := wPart.Local.DenseData()
+	if &k.dense[wi][0] != &data[0] || k.wlo[wi][1] != 20 || k.whi[wi][1] != 60 || k.whi[wi][0] != 16 {
+		t.Fatalf("W window bound as lo=%v hi=%v", k.wlo[wi], k.whi[wi])
+	}
+
+	// The same iteration over whole arrays and over the windows agrees
+	// bitwise, and the windowed run writes the partitions in place.
+	ref := p.NewKernel()
+	ref.BindArray("W", wRef)
+	ref.BindArray("H", hRef)
+	ref.BindArray("ratings", dsm.NewSparse("ratings", 100, 100))
+	ref.SetGlobal("step_size", 0.01)
+	key := []int64{25, 35}
+	if err := ref.RunIteration(key, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunIteration(key, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	for d := int64(0); d < 16; d++ {
+		if math.Float64bits(wPart.At(d, 25)) != math.Float64bits(wRef.At(d, 25)) ||
+			math.Float64bits(hPart.At(d, 35)) != math.Float64bits(hRef.At(d, 35)) {
+			t.Fatalf("windowed row %d differs from the whole-array run", d)
+		}
+	}
+	// Unbind drops the storage; the kernel keeps running, through the
+	// views' At/SetAt, until the next Rebind.
+	k.Unbind()
+	for j := range k.racc {
+		if k.dense[wi] != nil || k.racc[j].fast {
+			t.Fatal("Unbind left a dense binding")
+		}
+	}
+	for r, v := range k.vr {
+		if v != nil {
+			t.Fatalf("Unbind left vector register %d borrowing storage", r)
+		}
+	}
+	if err := ref.RunIteration(key, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunIteration(key, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(wPart.At(3, 25)) != math.Float64bits(wRef.At(3, 25)) {
+		t.Fatal("unbound run differs from the whole-array run")
+	}
+	k.Rebind()
+	if &k.dense[wi][0] != &data[0] {
+		t.Fatal("Rebind after Unbind did not restore the window")
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := k.RunIteration(key, 1.5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("windowed MF iteration allocates %v times, want 0", allocs)
+	}
+
+	// A replaced partition is picked up by Rebind, without allocating.
+	view := &windowView{wPart, []int64{16, 100}}
+	k.BindArray("W", view)
+	next := w.ExtractRange(1, 60, 100)
+	view.Partition = next
+	if allocs := testing.AllocsPerRun(10, k.Rebind); allocs != 0 {
+		t.Fatalf("Rebind allocates %v times, want 0", allocs)
+	}
+	nextData, _ := next.Local.DenseData()
+	if &k.dense[wi][0] != &nextData[0] || k.wlo[wi][1] != 60 {
+		t.Fatalf("Rebind kept the replaced window lo=%v", k.wlo[wi])
+	}
+
+	for _, bad := range []badWindow{
+		{w, []int64{0, 5}, []int64{16, 5}},   // empty
+		{w, []int64{0, -1}, []int64{16, 10}}, // below the array
+		{w, []int64{0, 0}, []int64{17, 100}}, // beyond the array
+	} {
+		k.BindArray("W", bad)
+		if k.dense[wi] != nil {
+			t.Fatalf("window lo=%v hi=%v was bound", bad.lo, bad.hi)
+		}
+		for j, acc := range p.accs {
+			if int(acc.ai) == wi && k.racc[j].fast {
+				t.Fatalf("window lo=%v hi=%v: point site %d is on the fast path", bad.lo, bad.hi, j)
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package runtime
 import (
 	"fmt"
 	"sync"
+
+	"orion/internal/dsm"
 )
 
 // Kernel is a loop-body function executed by executors. It receives the
@@ -270,11 +272,12 @@ func (c *Ctx) drainServed() map[string]*servedBuffer {
 }
 
 // PartitionOf exposes an executor's partition of an array (global
-// coordinates) for higher-level adapters (the DSL driver).
-func (c *Ctx) PartitionOf(array string) interface {
-	At(idx ...int64) float64
-	SetAt(v float64, idx ...int64)
-} {
+// coordinates) for higher-level adapters (the DSL driver); nil when the
+// executor holds none. The partition is valid for the running block
+// only: rotation, recovery, and reconfiguration replace it between
+// blocks, and a rotated-out partition's storage returns to the buffer
+// pool.
+func (c *Ctx) PartitionOf(array string) *dsm.Partition {
 	return c.exec.partition(array)
 }
 

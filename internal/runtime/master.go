@@ -717,29 +717,21 @@ func (m *Master) ServedArray(name string) *dsm.DistArray {
 }
 
 // foldServed applies staged updates to a master-held served array from
-// epochs before the reader's; epoch <= 0 folds everything. Caller holds
-// m.mu.
+// epochs before the reader's, in the deterministic order of foldStaged;
+// epoch <= 0 folds everything. Caller holds m.mu.
 func (m *Master) foldServed(name string, epoch int64) {
 	arr := m.served[name]
 	if arr == nil {
 		return
 	}
-	kept := m.servedPending[name][:0]
-	for _, u := range m.servedPending[name] {
-		if epoch > 0 && u.epoch >= epoch {
-			kept = append(kept, u)
-			continue
-		}
-		for i, off := range u.offs {
-			if u.absolute {
-				arr.SetAt(u.vals[i], arr.Unflatten(off)...)
+	m.servedPending[name] = foldStaged(m.servedPending[name], epoch, m.servedSeen[name],
+		func(off int64, v float64, absolute bool) {
+			if absolute {
+				arr.SetAt(v, arr.Unflatten(off)...)
 			} else {
-				arr.AddAt(u.vals[i], arr.Unflatten(off)...)
+				arr.AddAt(v, arr.Unflatten(off)...)
 			}
-		}
-		delete(m.servedSeen[name], u.key())
-	}
-	m.servedPending[name] = kept
+		})
 }
 
 // AccumSum aggregates an accumulator across executors with +.

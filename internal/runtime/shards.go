@@ -64,24 +64,50 @@ type shardTable struct {
 }
 
 // fold applies every pending update from an epoch before the reader's
-// into the local shard, in arrival order. epoch <= 0 folds everything.
+// into the local shard (see foldStaged). epoch <= 0 folds everything.
 func (t *shardTable) fold(epoch int64) {
-	kept := t.pending[:0]
-	for _, u := range t.pending {
+	t.pending = foldStaged(t.pending, epoch, t.seen, func(off int64, v float64, absolute bool) {
+		if absolute {
+			t.set(off, v)
+		} else {
+			t.add(off, v)
+		}
+	})
+}
+
+// foldStaged applies the staged batches from epochs before the reader's
+// (epoch <= 0: all of them) through apply, prunes their keys from seen,
+// and returns the batches still staged. Batches apply in (epoch, src)
+// order, keeping arrival order only among batches of one (epoch, src):
+// senders' flushes interleave on the wire differently from run to run,
+// and applying them as they arrived would reassociate same-epoch
+// real-valued updates, breaking the bitwise serial ≡ parallel ≡
+// recovered contract. One sender's batches keep their send order
+// (absolute writes before additive deltas).
+func foldStaged(pending []stagedUpdate, epoch int64, seen map[updKey]struct{},
+	apply func(off int64, v float64, absolute bool)) []stagedUpdate {
+	var ready []stagedUpdate
+	kept := pending[:0]
+	for _, u := range pending {
 		if epoch > 0 && u.epoch >= epoch {
 			kept = append(kept, u)
 			continue
 		}
-		for i, off := range u.offs {
-			if u.absolute {
-				t.set(off, u.vals[i])
-			} else {
-				t.add(off, u.vals[i])
-			}
-		}
-		delete(t.seen, u.key())
+		ready = append(ready, u)
 	}
-	t.pending = kept
+	sort.SliceStable(ready, func(i, j int) bool {
+		if ready[i].epoch != ready[j].epoch {
+			return ready[i].epoch < ready[j].epoch
+		}
+		return ready[i].src < ready[j].src
+	})
+	for _, u := range ready {
+		for i, off := range u.offs {
+			apply(off, u.vals[i], u.absolute)
+		}
+		delete(seen, u.key())
+	}
+	return kept
 }
 
 // stage appends one update batch unless an identical delivery is
