@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race chaos soak bench-smoke trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport bench-pair golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test race chaos soak bench-smoke trace-smoke adapt-smoke vet-examples fuzz bench-obs bench-vm bench-transport bench-pair golden-plans golden-plans-check
 
 check: fmt vet lint build test race chaos bench-smoke trace-smoke adapt-smoke golden-plans-check
 
@@ -52,9 +52,9 @@ soak:
 
 # One iteration of every benchmark — catches bit-rotted benchmark code
 # without paying for real measurement. internal/bench also carries the
-# threshold tests over the committed BENCH_vm.json / BENCH_transport.json
-# baselines (run under `test`), so VM and transport regressions fail
-# `make check` twice over.
+# threshold tests over the committed BENCH_vm.json / BENCH_obs.json /
+# BENCH_transport.json baselines (run under `test`), so VM, tracing and
+# transport regressions fail `make check` twice over.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
 		./internal/lang ./internal/dsm ./internal/runtime ./internal/bench
@@ -80,16 +80,14 @@ adapt-smoke:
 	$(GO) run ./cmd/orion-run -engine dsl -app mf -workers 3 -passes 5 \
 		-adapt -adapt-skew 2 -skew-demo 200 -adapt-assert-drop 0.3
 
-# Regenerate the committed interp-vs-compiled kernel baseline.
-bench-baseline:
-	ORION_BENCH_BASELINE=1 $(GO) test ./internal/lang -run TestWriteBenchBaseline -v
-
-# Regenerate the committed observability-overhead baseline.
+# Regenerate the committed observability-overhead baseline. Its
+# regression gate compares against BENCH_vm.json's vm_ns_per_iter, so
+# regenerate that first (make bench-vm).
 bench-obs:
 	$(GO) run ./cmd/orion-bench -obs-json BENCH_obs.json
 
-# Regenerate the committed loop-backend baseline (interp vs closure
-# compiler vs bytecode VM). TestVMBaselineThresholds gates the result.
+# Regenerate the committed loop-backend baseline (reference interpreter
+# vs bytecode VM). TestVMBaselineThresholds gates the result.
 bench-vm:
 	$(GO) run ./cmd/orion-bench -vm-json BENCH_vm.json
 
@@ -128,7 +126,7 @@ golden-plans-check:
 
 # Short fuzzing sessions over the DSL front end, the plan-artifact
 # decoders, the symbolic dependence tier (soundness vs the brute-force
-# oracle), the three-way interp/closure/VM execution differential, and
+# oracle), the interpreter-vs-VM execution differential, and
 # the wire-frame decoder (hostile header claims must condemn the link,
 # never crash or over-allocate).
 fuzz:

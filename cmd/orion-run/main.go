@@ -27,7 +27,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker count (default: scale's)")
 		passes     = flag.Int("passes", 0, "data passes (default: scale's)")
 		scale      = flag.String("scale", "default", "dataset scale: small | default")
-		backend    = flag.String("backend", "", "loop backend for -engine dsl: vm | compiled | interp (default: vm, falling back to compiled, then the interpreter)")
+		backend    = flag.String("backend", "", "loop backend for -engine dsl: vm | interp (default: vm, falling back to the interpreter)")
 		transport  = flag.String("transport", "inproc", "runtime transport for -engine dsl: inproc | tcp (tcp exercises real sockets)")
 		trace      = flag.String("trace", "", "write a Chrome trace-event JSON file here (-engine dsl; open at ui.perfetto.dev)")
 		report     = flag.Bool("report", false, "print the per-worker execution report after the run (-engine dsl)")

@@ -2,13 +2,10 @@ package bench
 
 import (
 	"encoding/json"
-	"math/rand"
 	"os"
 	"testing"
 
 	"orion/internal/dsm"
-	"orion/internal/lang"
-	"orion/internal/lang/vm"
 	"orion/internal/runtime"
 )
 
@@ -16,10 +13,15 @@ import (
 // regression gates, not just records: `make check` runs these tests, so
 // regenerating a baseline that no longer clears the floors fails the
 // build. The floors restate the targets the subsystems were built to:
-// the bytecode VM must hold >= 2x over the closure backend on at least
-// two of the three reference kernels at zero allocations per iteration,
-// and the raw rotation codec must allocate >= 5x less per rotated
-// partition than the gob path it replaced.
+// the bytecode VM must hold >= 25x over the reference interpreter on at
+// least two of the three reference kernels at zero allocations per
+// iteration, and the raw rotation codec must allocate >= 5x less per
+// rotated partition than the gob path it replaced.
+//
+// The VM floor replaces an earlier ">= 2x over the closure backend",
+// which ran 9.2-9.4x (MF) and 12.2-12.6x (LDA) faster than the
+// interpreter: 2x closure was about 19x (MF) and 25x (LDA) over the
+// interpreter, so 25x on two kernels is at least as strict.
 
 func TestVMBaselineThresholds(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_vm.json")
@@ -38,12 +40,12 @@ func TestVMBaselineThresholds(t *testing.T) {
 		if k.VMAllocsPerIter != 0 {
 			t.Errorf("%s: vm_allocs_per_iter = %d, want 0", k.Kernel, k.VMAllocsPerIter)
 		}
-		if k.SpeedupVsCompiled >= 2.0 {
+		if k.SpeedupVsInterp >= 25.0 {
 			fast++
 		}
 	}
 	if fast < 2 {
-		t.Errorf("only %d kernels at >= 2x over the compiled backend, want >= 2 (speedups: %v)",
+		t.Errorf("only %d kernels at >= 25x over the interpreter, want >= 2 (speedups: %v)",
 			fast, kernelSpeedups(d))
 	}
 }
@@ -51,7 +53,7 @@ func TestVMBaselineThresholds(t *testing.T) {
 func kernelSpeedups(d vmBaseline) map[string]float64 {
 	m := make(map[string]float64, len(d.Kernels))
 	for _, k := range d.Kernels {
-		m[k.Kernel] = k.SpeedupVsCompiled
+		m[k.Kernel] = k.SpeedupVsInterp
 	}
 	return m
 }
@@ -99,7 +101,7 @@ func TestTransportBaselineThresholds(t *testing.T) {
 }
 
 // TestObsBaselineThresholds gates the committed BENCH_obs.json: the
-// observability layer's budget is < 3% compiled-kernel regression with
+// observability layer's budget is < 3% VM-kernel regression with
 // tracing off, and every hot-path primitive (spans, counters,
 // histograms, flight-log appends) must stay allocation-free.
 func TestObsBaselineThresholds(t *testing.T) {
@@ -116,7 +118,7 @@ func TestObsBaselineThresholds(t *testing.T) {
 	}
 	for _, k := range d.Kernels {
 		if k.RegressionPct >= 3.0 {
-			t.Errorf("%s: %.1f%% regression vs BENCH_kernels.json, budget is < 3%%", k.Kernel, k.RegressionPct)
+			t.Errorf("%s: %.1f%% regression vs BENCH_vm.json, budget is < 3%%", k.Kernel, k.RegressionPct)
 		}
 	}
 	want := map[string]bool{"span_disabled": false, "flight_append": false}
@@ -145,40 +147,6 @@ func TestObsBaselineThresholds(t *testing.T) {
 	}
 }
 
-// newVMKernel builds a bound VM kernel for one of the obsKernels
-// fixtures, mirroring obsKernel.newKernel for the closure backend.
-func newVMKernel(tb testing.TB, ok obsKernel) *vm.Kernel {
-	loop, err := lang.Parse(ok.src)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	names := make([]string, 0, len(ok.globals))
-	for n := range ok.globals {
-		names = append(names, n)
-	}
-	prog, err := vm.Compile(loop, &lang.CompileEnv{Arrays: ok.arrays, Buffers: ok.buffers, Globals: names})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	k := prog.NewKernel()
-	arrays := vmFixtureArrays(ok)
-	for n, a := range arrays {
-		if err := k.BindArray(n, a); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	for n, target := range ok.buffers {
-		if err := k.BindBuffer(n, dsm.NewBuffer(arrays[target], nil)); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	for n, v := range ok.globals {
-		k.SetGlobal(n, v)
-	}
-	k.SetRng(rand.New(rand.NewSource(99)))
-	return k
-}
-
 // BenchmarkVMIteration: steady-state per-iteration cost of the bytecode
 // VM on the reference kernels — the vm_ns_per_iter column of
 // BENCH_vm.json, kept as a plain benchmark so `make bench-smoke`
@@ -186,7 +154,10 @@ func newVMKernel(tb testing.TB, ok obsKernel) *vm.Kernel {
 func BenchmarkVMIteration(b *testing.B) {
 	for _, ok := range obsKernels() {
 		b.Run(ok.name, func(b *testing.B) {
-			k := newVMKernel(b, ok)
+			k, err := ok.newKernel()
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

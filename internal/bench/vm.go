@@ -10,43 +10,29 @@ import (
 
 	"orion/internal/dsm"
 	"orion/internal/lang"
-	"orion/internal/lang/vm"
 	"orion/internal/metrics"
 )
 
-// The bytecode-VM experiment: per-iteration cost of the three loop
-// backends — tree-walking interpreter, closure compiler, and register
-// bytecode VM (both single-iteration dispatch and the batched RunBlock
-// driver) — on the MF/LDA/SLR kernels, plus the VM's steady-state
-// allocation count. The committed BENCH_vm.json baseline gates the VM's
-// speedup over the closure backend in TestVMBaselineThresholds.
+// The bytecode-VM experiment: per-iteration cost of the two loop
+// backends — the tree-walking interpreter (the reference semantics)
+// and the register bytecode VM (both single-iteration dispatch and the
+// batched RunBlock driver) — on the MF/LDA/SLR kernels, plus the VM's
+// steady-state allocation count. The committed BENCH_vm.json baseline
+// gates the VM's speedup over the interpreter in
+// TestVMBaselineThresholds.
 
 type vmKernelRow struct {
-	Kernel            string  `json:"kernel"`
-	InterpNsPerIter   float64 `json:"interp_ns_per_iter"`
-	CompiledNsPerIter float64 `json:"compiled_ns_per_iter"`
-	VMNsPerIter       float64 `json:"vm_ns_per_iter"`
-	VMBlockNsPerIter  float64 `json:"vm_block_ns_per_iter"`
-	VMAllocsPerIter   int64   `json:"vm_allocs_per_iter"`
-	SpeedupVsCompiled float64 `json:"speedup_vs_compiled"`
+	Kernel           string  `json:"kernel"`
+	InterpNsPerIter  float64 `json:"interp_ns_per_iter"`
+	VMNsPerIter      float64 `json:"vm_ns_per_iter"`
+	VMBlockNsPerIter float64 `json:"vm_block_ns_per_iter"`
+	VMAllocsPerIter  int64   `json:"vm_allocs_per_iter"`
+	SpeedupVsInterp  float64 `json:"speedup_vs_interp"`
 }
 
 type vmBaseline struct {
 	Description string        `json:"description"`
 	Kernels     []vmKernelRow `json:"kernels"`
-}
-
-// vmFixtureArrays builds and fills the fixture arrays with the same
-// seed the obs experiment uses.
-func vmFixtureArrays(ok obsKernel) map[string]*dsm.DistArray {
-	rng := rand.New(rand.NewSource(17))
-	arrays := map[string]*dsm.DistArray{}
-	for name, dims := range ok.arrays {
-		a := dsm.NewDense(name, dims...)
-		a.Map(func(float64) float64 { return float64(1 + rng.Intn(6)) })
-		arrays[name] = a
-	}
-	return arrays
 }
 
 // vmBlockKeys expands the fixture's single (key, val) into a block of
@@ -83,25 +69,20 @@ func firstIterArray(ok obsKernel) string {
 	}
 }
 
-// measureVM benchmarks all three backends per fixture kernel.
+// measureVM benchmarks both backends per fixture kernel.
 func measureVM() (*vmBaseline, error) {
 	out := &vmBaseline{
-		Description: "loop backend cost per iteration: tree-walking interpreter vs closure compiler vs register bytecode VM (single-iteration and batched RunBlock dispatch), same MF/LDA/SLR fixtures as BENCH_obs.json; speedup_vs_compiled = compiled_ns / vm_block_ns",
+		Description: "loop backend cost per iteration: tree-walking interpreter vs register bytecode VM (single-iteration and batched RunBlock dispatch), same MF/LDA/SLR fixtures as BENCH_obs.json; speedup_vs_interp = interp_ns / vm_block_ns",
 	}
 	for _, ok := range obsKernels() {
 		loop, err := lang.Parse(ok.src)
 		if err != nil {
 			return nil, err
 		}
-		names := make([]string, 0, len(ok.globals))
-		for n := range ok.globals {
-			names = append(names, n)
-		}
-		env := &lang.CompileEnv{Arrays: ok.arrays, Buffers: ok.buffers, Globals: names}
 
 		// Interpreter.
 		m := lang.NewMachine()
-		arrays := vmFixtureArrays(ok)
+		arrays := ok.fixtureArrays()
 		for n, a := range arrays {
 			m.Arrays[n] = a
 		}
@@ -112,76 +93,45 @@ func measureVM() (*vmBaseline, error) {
 			m.Globals[n] = v
 		}
 		m.Rng = rand.New(rand.NewSource(99))
-		interpNs, _ := benchNs(func(b *testing.B) {
+
+		// Bytecode VM (fresh arrays so state drift is comparable),
+		// single-iteration and batched dispatch.
+		vk, err := ok.newKernel()
+		if err != nil {
+			return nil, err
+		}
+		const blockLen = 256
+		keys, vals := vmBlockKeys(ok, blockLen)
+		ns, allocs := benchEach(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := m.RunIteration(loop, ok.key, ok.val); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-
-		// Closure compiler (fresh arrays so state drift is comparable).
-		ck, err := ok.newKernel()
-		if err != nil {
-			return nil, err
-		}
-		compiledNs, _ := benchNs(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := ck.RunIteration(ok.key, ok.val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-
-		// Bytecode VM, single-iteration and batched dispatch.
-		prog, err := vm.Compile(loop, env)
-		if err != nil {
-			return nil, fmt.Errorf("vm.Compile(%s): %v", ok.name, err)
-		}
-		vk := prog.NewKernel()
-		varrays := vmFixtureArrays(ok)
-		for n, a := range varrays {
-			if err := vk.BindArray(n, a); err != nil {
-				return nil, err
-			}
-		}
-		for n, target := range ok.buffers {
-			if err := vk.BindBuffer(n, dsm.NewBuffer(varrays[target], nil)); err != nil {
-				return nil, err
-			}
-		}
-		for n, v := range ok.globals {
-			vk.SetGlobal(n, v)
-		}
-		vk.SetRng(rand.New(rand.NewSource(99)))
-		vmNs, vmAllocs := benchNs(func(b *testing.B) {
+		}, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := vk.RunIteration(ok.key, ok.val); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		const blockLen = 256
-		keys, vals := vmBlockKeys(ok, blockLen)
-		blockNs, _ := benchNs(func(b *testing.B) {
-			b.ReportAllocs()
+		}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := vk.RunBlock(keys, vals, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		blockPerIter := blockNs / blockLen
+		interpNs, vmNs, vmAllocs := ns[0], ns[1], allocs[1]
+		blockPerIter := ns[2] / blockLen
 
 		out.Kernels = append(out.Kernels, vmKernelRow{
-			Kernel:            ok.name,
-			InterpNsPerIter:   round1(interpNs),
-			CompiledNsPerIter: round1(compiledNs),
-			VMNsPerIter:       round1(vmNs),
-			VMBlockNsPerIter:  round1(blockPerIter),
-			VMAllocsPerIter:   vmAllocs,
-			SpeedupVsCompiled: math.Round(compiledNs/blockPerIter*100) / 100,
+			Kernel:           ok.name,
+			InterpNsPerIter:  round1(interpNs),
+			VMNsPerIter:      round1(vmNs),
+			VMBlockNsPerIter: round1(blockPerIter),
+			VMAllocsPerIter:  vmAllocs,
+			SpeedupVsInterp:  math.Round(interpNs/blockPerIter*100) / 100,
 		})
 	}
 	return out, nil
@@ -199,16 +149,15 @@ func VMBackends(_ Scale) (*Report, error) {
 		rows = append(rows, []string{
 			k.Kernel,
 			fmt.Sprintf("%.1f", k.InterpNsPerIter),
-			fmt.Sprintf("%.1f", k.CompiledNsPerIter),
 			fmt.Sprintf("%.1f", k.VMNsPerIter),
 			fmt.Sprintf("%.1f", k.VMBlockNsPerIter),
 			fmt.Sprintf("%d", k.VMAllocsPerIter),
-			fmt.Sprintf("%.2fx", k.SpeedupVsCompiled),
+			fmt.Sprintf("%.2fx", k.SpeedupVsInterp),
 		})
 	}
 	body := "loop backend cost (per iteration):\n" +
-		metrics.Table([]string{"kernel", "interp ns", "compiled ns", "vm ns", "vm block ns", "vm allocs", "vm speedup"}, rows)
-	return &Report{ID: "vm", Title: "bytecode VM vs closure compiler vs interpreter", Body: body}, nil
+		metrics.Table([]string{"kernel", "interp ns", "vm ns", "vm block ns", "vm allocs", "vm speedup"}, rows)
+	return &Report{ID: "vm", Title: "bytecode VM vs interpreter", Body: body}, nil
 }
 
 // WriteVMBaseline measures the backends and writes the BENCH_vm.json

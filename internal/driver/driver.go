@@ -282,18 +282,16 @@ func (s *Session) SetGlobal(name string, v float64) { s.globals[name] = v }
 
 // SetBackend pins the loop-execution backend shipped with every
 // subsequent ParallelFor: "" (default: bytecode VM, falling back to
-// the closure compiler and then the interpreter), "vm" (register
-// bytecode VM; falling back becomes an error), "compiled"
-// (closure-compiled; skips the VM), or "interp" (force the
-// tree-walking interpreter — the reference semantics, useful for
-// bisecting a suspected compiler bug).
+// the interpreter), "vm" (register bytecode VM; falling back becomes
+// an error), or "interp" (force the tree-walking interpreter — the
+// reference semantics, useful for bisecting a suspected VM bug).
 func (s *Session) SetBackend(backend string) error {
 	switch backend {
-	case "", "vm", "compiled", "interp":
+	case "", "vm", "interp":
 		s.backend = backend
 		return nil
 	}
-	return fmt.Errorf("driver: unknown backend %q (want \"\", \"vm\", \"compiled\", or \"interp\")", backend)
+	return fmt.Errorf("driver: unknown backend %q (want \"\", \"vm\", or \"interp\")", backend)
 }
 
 // Backend returns the pinned loop-execution backend ("" = automatic).
@@ -301,8 +299,8 @@ func (s *Session) Backend() string { return s.backend }
 
 // KernelBackend reports which backend the executors will run the given
 // loop source on under the current session configuration, without
-// executing anything: "vm", "compiled", or "interp". The decision is
-// the same deterministic compile verdict every worker reaches.
+// executing anything: "vm" or "interp". The decision is the same
+// deterministic compile verdict every worker reaches.
 func (s *Session) KernelBackend(src string) (string, error) {
 	loop, err := lang.Parse(src)
 	if err != nil {
@@ -325,31 +323,18 @@ func (s *Session) kernelBackend(loop *lang.Loop) (string, error) {
 		Buffers: s.env.Buffers,
 		Globals: globals,
 	}
-	if s.backend != "compiled" {
-		_, err := vm.Compile(loop, env)
-		if err == nil {
-			return "vm", nil
-		}
-		var nce *lang.NotCompilableError
-		if !errors.As(err, &nce) {
-			return "", err
-		}
-		if s.backend == "vm" {
-			return "", fmt.Errorf("driver: backend=vm requested: %w", err)
-		}
+	_, err := vm.Compile(loop, env)
+	if err == nil {
+		return "vm", nil
 	}
-	_, err := lang.CompileLoop(loop, env)
-	if err != nil {
-		var nce *lang.NotCompilableError
-		if !errors.As(err, &nce) {
-			return "", err
-		}
-		if s.backend == "compiled" {
-			return "", fmt.Errorf("driver: backend=compiled requested: %w", err)
-		}
-		return "interp", nil
+	var nce *lang.NotCompilableError
+	if !errors.As(err, &nce) {
+		return "", err
 	}
-	return "compiled", nil
+	if s.backend == "vm" {
+		return "", fmt.Errorf("driver: backend=vm requested: %w", err)
+	}
+	return "interp", nil
 }
 
 // Array returns the driver-side copy of an array.

@@ -506,8 +506,6 @@ func TestDriverBackendSelection(t *testing.T) {
 		}
 		return sess
 	}
-	compiled := run("compiled")
-	defer compiled.Close()
 	vmSess := run("vm")
 	defer vmSess.Close()
 	auto := run("")
@@ -517,7 +515,7 @@ func TestDriverBackendSelection(t *testing.T) {
 
 	for _, name := range []string{"W", "H"} {
 		want := interp.Array(name)
-		for _, sess := range []*Session{compiled, vmSess, auto} {
+		for _, sess := range []*Session{vmSess, auto} {
 			got := sess.Array(name)
 			want.ForEach(func(idx []int64, v float64) {
 				if g := got.At(idx...); math.Float64bits(g) != math.Float64bits(v) {
@@ -527,12 +525,19 @@ func TestDriverBackendSelection(t *testing.T) {
 		}
 	}
 
-	if err := compiled.SetBackend("jit"); err == nil {
-		t.Fatal("SetBackend accepted an unknown backend")
+	for _, bad := range []string{"jit", "compiled"} {
+		err := vmSess.SetBackend(bad)
+		if err == nil || !strings.Contains(err.Error(), `unknown backend`) ||
+			!strings.Contains(err.Error(), `want "", "vm", or "interp"`) {
+			t.Fatalf("SetBackend(%q) = %v; want the unknown-backend error listing the three backends", bad, err)
+		}
+	}
+	if got := vmSess.Backend(); got != "vm" {
+		t.Fatalf("a refused SetBackend changed the backend to %q", got)
 	}
 }
 
-// TestDriverBackendCompiledRefused: pinning backend=compiled on a loop
+// TestDriverBackendCompiledRefused: pinning backend=vm on a loop
 // outside the compiled subset fails at the driver before shipping, and
 // the automatic backend reports the interpreter fallback.
 func TestDriverBackendCompiledRefused(t *testing.T) {
@@ -555,13 +560,6 @@ end
 	}
 	if _, err := sess.ParallelFor(src); err != nil {
 		t.Fatalf("automatic backend should fall back and run: %v", err)
-	}
-
-	if err := sess.SetBackend("compiled"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.ParallelFor(src); err == nil || !strings.Contains(err.Error(), "backend=compiled") {
-		t.Fatalf("pinned compiled backend on a non-compilable loop: err = %v", err)
 	}
 
 	if err := sess.SetBackend("vm"); err != nil {

@@ -27,12 +27,11 @@ func Install() {
 
 // Compile builds a kernel set (and prefetch functions) from a
 // DefineLoop message. Loop bodies run on the bytecode VM
-// (lang/vm.Compile) whenever they fall inside the compiled subset,
-// with the closure backend (lang.CompileLoop) next in the lattice;
+// (lang/vm.Compile) whenever they fall inside the compiled subset;
 // otherwise the tree-walking interpreter — the reference semantics —
-// executes them. def.Backend pins the choice: "vm" and "compiled"
-// make fallback an error, "interp" forces interpretation (e.g. for
-// CLI bisection), and "" walks the full vm→compiled→interp lattice.
+// executes them. def.Backend pins the choice: "vm" makes fallback an
+// error, "interp" forces interpretation (e.g. for CLI bisection), and
+// "" takes the VM, else the interpreter.
 func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 	tb := obs.NewBuf(0, "dslkernel")
 	spanStart := tb.Begin()
@@ -116,10 +115,8 @@ type loopKernel struct {
 	loop    *lang.Loop
 	globals map[string]float64
 	vp      *vm.Prog
-	cl      *lang.CompiledLoop
 
 	vs        *vmState
-	cs        *compiledState
 	ms        *machineState
 	lastEpoch int64
 }
@@ -140,7 +137,7 @@ func newLoopKernel(def *runtime.Msg) (*loopKernel, error) {
 	}
 
 	switch def.Backend {
-	case "", "vm", "compiled", "interp":
+	case "", "vm", "interp":
 	default:
 		return nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
 	}
@@ -152,39 +149,21 @@ func newLoopKernel(def *runtime.Msg) (*loopKernel, error) {
 			Buffers: def.Buffers,
 			Globals: globalNames,
 		}
-		if def.Backend != "compiled" {
-			lk.vp, err = vm.Compile(loop, env)
-			if err != nil {
-				var nce *lang.NotCompilableError
-				if !errors.As(err, &nce) {
-					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
-				}
-				if def.Backend == "vm" {
-					return nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
-				}
-				lk.vp = nil // outside the VM subset: try the closure backend
+		lk.vp, err = vm.Compile(loop, env)
+		if err != nil {
+			var nce *lang.NotCompilableError
+			if !errors.As(err, &nce) {
+				return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
 			}
-		}
-		if lk.vp == nil && def.Backend != "vm" {
-			lk.cl, err = lang.CompileLoop(loop, env)
-			if err != nil {
-				var nce *lang.NotCompilableError
-				if !errors.As(err, &nce) {
-					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
-				}
-				if def.Backend == "compiled" {
-					return nil, fmt.Errorf("dslkernel: backend=compiled requested: %w", err)
-				}
-				lk.cl = nil // outside the compiled subset: interpret
+			if def.Backend == "vm" {
+				return nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
 			}
+			lk.vp = nil // outside the VM subset: interpret
 		}
 	}
-	switch {
-	case lk.vp != nil:
+	if lk.vp != nil {
 		obs.GetCounter("kernel.vm").Inc()
-	case lk.cl != nil:
-		obs.GetCounter("kernel.compiled").Inc()
-	default:
+	} else {
 		obs.GetCounter("kernel.interp_fallback").Inc()
 	}
 	return lk, nil
@@ -246,21 +225,10 @@ func (lk *loopKernel) iter(ctx blockCtx, key []int64, val float64) {
 		vs.run(ctx, key, val)
 		return
 	}
-	reseed := lk.newBlock(ctx)
-	if lk.cl != nil {
-		if lk.cs == nil {
-			lk.cs = newCompiledState(ctx, lk.cl, lk.loop, lk.def.ArrayDims, lk.def.Buffers, lk.globals, lk.def.AccumNames)
-		}
-		if reseed {
-			lk.cs.k.SetRng(lk.seedRng(ctx))
-		}
-		lk.cs.run(ctx, key, val)
-		return
-	}
 	if lk.ms == nil {
 		lk.ms = newMachineState(ctx, lk.loop, lk.def.ArrayDims, lk.def.Buffers, lk.globals, lk.def.AccumNames)
 	}
-	if reseed {
+	if lk.newBlock(ctx) {
 		lk.ms.m.Rng = lk.seedRng(ctx)
 	}
 	lk.ms.run(ctx, key, val)
@@ -348,69 +316,6 @@ func (vs *vmState) fold(ctx blockCtx) {
 		if d := cur - vs.lastAcc[i]; d != 0 {
 			ctx.AccumAdd(a, d)
 			vs.lastAcc[i] = cur
-		}
-	}
-}
-
-// compiledState is one executor's compiled-kernel instance for one
-// loop: the slot-resolved closure program with partition/served views
-// bound into its array slots, plus accumulator shadows for diffing.
-type compiledState struct {
-	k       *lang.CompiledKernel
-	accums  []string
-	slots   []int
-	lastAcc []float64
-}
-
-func newCompiledState(ctx blockCtx, cl *lang.CompiledLoop, loop *lang.Loop,
-	dims map[string][]int64, buffers map[string]string,
-	globals map[string]float64, accums []string) *compiledState {
-	k := cl.NewKernel()
-	for name, d := range dims {
-		if name == loop.IterVar {
-			// Like the interpreter path, the iteration space stays
-			// unbound: body reads of it fault as unknown.
-			continue
-		}
-		var view lang.ArrayAccess
-		if ctx.HasPartition(name) {
-			view = &partView{ctx: ctx, name: name, dims: d}
-		} else {
-			view = &servedView{ctx: ctx, name: name, dims: d}
-		}
-		if err := k.BindArray(name, view); err != nil {
-			panic(fmt.Sprintf("dslkernel: %v", err))
-		}
-	}
-	for bname, target := range buffers {
-		if err := k.BindBuffer(bname, &ctxBuffer{ctx: ctx, target: target, dims: dims[target]}); err != nil {
-			panic(fmt.Sprintf("dslkernel: %v", err))
-		}
-	}
-	for n, v := range globals {
-		k.SetGlobal(n, v)
-	}
-	cs := &compiledState{k: k, accums: accums}
-	for _, a := range accums {
-		if _, ok := globals[a]; !ok {
-			k.SetGlobal(a, 0)
-		}
-		slot := k.GlobalSlot(a)
-		cs.slots = append(cs.slots, slot)
-		cs.lastAcc = append(cs.lastAcc, k.GlobalAt(slot))
-	}
-	return cs
-}
-
-func (cs *compiledState) run(ctx blockCtx, key []int64, val float64) {
-	if err := cs.k.RunIteration(key, val); err != nil {
-		panic(fmt.Sprintf("dslkernel: compiled kernel: %v", err))
-	}
-	for i, a := range cs.accums {
-		cur := cs.k.GlobalAt(cs.slots[i])
-		if d := cur - cs.lastAcc[i]; d != 0 {
-			ctx.AccumAdd(a, d)
-			cs.lastAcc[i] = cur
 		}
 	}
 }

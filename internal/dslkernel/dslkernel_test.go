@@ -450,3 +450,14 @@ func TestFinishedCallReleasesPartitions(t *testing.T) {
 		goruntime.KeepAlive(vmk)
 	}
 }
+
+// TestUnknownBackendRefused: a DefineLoop pinned to a backend outside
+// "", "vm", and "interp" is refused before anything is compiled.
+func TestUnknownBackendRefused(t *testing.T) {
+	for _, backend := range []string{"compiled", "jit"} {
+		def := exampleDef(t, "quickstart/mf.orion", backend, mfGlobals)
+		if _, err := newLoopKernel(def); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("backend %q: err = %v; want unknown backend", backend, err)
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package lang
 
 import (
-	"encoding/json"
-	"math"
-	"math/rand"
-	"os"
 	"testing"
 
 	"orion/internal/dsm"
@@ -94,236 +90,4 @@ end
 			b.Fatal(err)
 		}
 	}
-}
-
-// The LDA Gibbs and SLR bodies (same sources as the shipped examples),
-// benchmarked interp-vs-compiled alongside MF below.
-const benchLDASrc = `
-for (key, occ) in tokens
-    zi = z[key[1], key[2]]
-    doc_topic[zi, key[1]] -= 1
-    word_topic[zi, key[2]] -= 1
-    tot_buf[zi] -= 1
-
-    p = zeros(K)
-    total = 0
-    for k = 1:K
-        nd = max(doc_topic[k, key[1]], 0)
-        nw = max(word_topic[k, key[2]], 0)
-        nt = max(totals[k], 1)
-        p[k] = (nd + alpha) * (nw + beta) / (nt + vbeta)
-        total = total + p[k]
-    end
-
-    u = rand() * total
-    chosen = 0
-    acc = 0
-    for k = 1:K
-        acc = acc + p[k]
-        if chosen == 0
-            if u <= acc
-                chosen = k
-            end
-        end
-    end
-    if chosen == 0
-        chosen = K
-    end
-
-    doc_topic[chosen, key[1]] += 1
-    word_topic[chosen, key[2]] += 1
-    tot_buf[chosen] += 1
-    z[key[1], key[2]] = chosen
-end
-`
-
-const benchSLRSrc = `
-for (key, v) in samples
-    idx = floor(v * 100) + 1
-    w = weights[idx]
-    margin = w * v
-    g = sigmoid(margin) - 1
-    w_buf[idx] += 0 - step_size * g
-end
-`
-
-// kernelBench describes one loop body benchmarked on both backends.
-type kernelBench struct {
-	name    string
-	src     string
-	arrays  map[string][]int64
-	buffers map[string]string
-	globals map[string]float64
-	key     []int64
-	val     float64
-}
-
-func kernelBenches() []kernelBench {
-	return []kernelBench{
-		{
-			name: "MF", src: benchSrc,
-			arrays:  map[string][]int64{"ratings": {100, 100}, "W": {16, 100}, "H": {16, 100}},
-			globals: map[string]float64{"step_size": 0.01},
-			key:     []int64{3, 7}, val: 1.5,
-		},
-		{
-			name: "LDA", src: benchLDASrc,
-			arrays: map[string][]int64{
-				"tokens": {120, 80}, "z": {120, 80},
-				"doc_topic": {6, 120}, "word_topic": {6, 80}, "totals": {6},
-			},
-			buffers: map[string]string{"tot_buf": "totals"},
-			globals: map[string]float64{"K": 6, "alpha": 0.5, "beta": 0.1, "vbeta": 8},
-			key:     []int64{3, 7}, val: 1,
-		},
-		{
-			name: "SLR", src: benchSLRSrc,
-			arrays:  map[string][]int64{"samples": {1000}, "weights": {128}},
-			buffers: map[string]string{"w_buf": "weights"},
-			globals: map[string]float64{"step_size": 0.05},
-			key:     []int64{5}, val: 0.73,
-		},
-	}
-}
-
-// benchArrays builds dense arrays filled with small positive integers —
-// valid 1-based topic assignments for LDA and benign values elsewhere.
-func (kb kernelBench) benchArrays() map[string]*dsm.DistArray {
-	rng := rand.New(rand.NewSource(17))
-	out := map[string]*dsm.DistArray{}
-	for name, dims := range kb.arrays {
-		a := dsm.NewDense(name, dims...)
-		a.Map(func(float64) float64 { return float64(1 + rng.Intn(6)) })
-		out[name] = a
-	}
-	return out
-}
-
-func (kb kernelBench) newMachine(b testing.TB) (*Machine, *Loop) {
-	loop, err := Parse(kb.src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := NewMachine()
-	arrays := kb.benchArrays()
-	for n, a := range arrays {
-		m.Arrays[n] = a
-	}
-	for n, target := range kb.buffers {
-		m.Buffers[n] = dsm.NewBuffer(arrays[target], nil)
-	}
-	for n, v := range kb.globals {
-		m.Globals[n] = v
-	}
-	m.Rng = rand.New(rand.NewSource(99))
-	return m, loop
-}
-
-func (kb kernelBench) newKernel(b testing.TB) *CompiledKernel {
-	loop, err := Parse(kb.src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, 0, len(kb.globals))
-	for n := range kb.globals {
-		names = append(names, n)
-	}
-	cl, err := CompileLoop(loop, &CompileEnv{Arrays: kb.arrays, Buffers: kb.buffers, Globals: names})
-	if err != nil {
-		b.Fatalf("CompileLoop(%s): %v", kb.name, err)
-	}
-	k := cl.NewKernel()
-	arrays := kb.benchArrays()
-	for n, a := range arrays {
-		if err := k.BindArray(n, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for n, target := range kb.buffers {
-		if err := k.BindBuffer(n, dsm.NewBuffer(arrays[target], nil)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for n, v := range kb.globals {
-		k.SetGlobal(n, v)
-	}
-	k.SetRng(rand.New(rand.NewSource(99)))
-	return k
-}
-
-func (kb kernelBench) benchInterp(b *testing.B) {
-	m, loop := kb.newMachine(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.RunIteration(loop, kb.key, kb.val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func (kb kernelBench) benchCompiled(b *testing.B) {
-	k := kb.newKernel(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := k.RunIteration(kb.key, kb.val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelIteration: one loop-body iteration per op, each body
-// on both backends. The compiled/interp ratio is the speedup recorded
-// in BENCH_kernels.json (TestWriteBenchBaseline).
-func BenchmarkKernelIteration(b *testing.B) {
-	for _, kb := range kernelBenches() {
-		b.Run(kb.name+"/interp", kb.benchInterp)
-		b.Run(kb.name+"/compiled", kb.benchCompiled)
-	}
-}
-
-// TestWriteBenchBaseline regenerates BENCH_kernels.json at the repo
-// root. Gated behind an env var so `go test` stays fast and the
-// committed baseline stays stable:
-//
-//	ORION_BENCH_BASELINE=1 go test ./internal/lang -run TestWriteBenchBaseline
-func TestWriteBenchBaseline(t *testing.T) {
-	if os.Getenv("ORION_BENCH_BASELINE") == "" {
-		t.Skip("set ORION_BENCH_BASELINE=1 to regenerate BENCH_kernels.json")
-	}
-	type row struct {
-		Kernel            string  `json:"kernel"`
-		InterpNsPerIter   float64 `json:"interp_ns_per_iter"`
-		InterpAllocs      int64   `json:"interp_allocs_per_iter"`
-		CompiledNsPerIter float64 `json:"compiled_ns_per_iter"`
-		CompiledAllocs    int64   `json:"compiled_allocs_per_iter"`
-		Speedup           float64 `json:"speedup"`
-	}
-	var rows []row
-	for _, kb := range kernelBenches() {
-		ir := testing.Benchmark(kb.benchInterp)
-		cr := testing.Benchmark(kb.benchCompiled)
-		ins := float64(ir.T.Nanoseconds()) / float64(ir.N)
-		cns := float64(cr.T.Nanoseconds()) / float64(cr.N)
-		rows = append(rows, row{
-			Kernel:            kb.name,
-			InterpNsPerIter:   math.Round(ins*10) / 10,
-			InterpAllocs:      ir.AllocsPerOp(),
-			CompiledNsPerIter: math.Round(cns*10) / 10,
-			CompiledAllocs:    cr.AllocsPerOp(),
-			Speedup:           math.Round(ins/cns*100) / 100,
-		})
-	}
-	out, err := json.MarshalIndent(map[string]any{
-		"description": "steady-state per-iteration cost of DSL loop bodies: tree-walking interpreter vs closure-compiled backend (internal/lang BenchmarkKernelIteration)",
-		"kernels":     rows,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_kernels.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_kernels.json:\n%s", out)
 }

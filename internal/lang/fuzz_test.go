@@ -102,6 +102,5 @@ func FuzzParseProgram(f *testing.F) {
 }
 
 // The execution differential fuzzer lives in internal/lang/vm
-// (FuzzExecDifferential there), where it holds all three backends —
-// interpreter, closure compiler, bytecode VM — to bitwise-identical
-// results.
+// (FuzzExecDifferential there), where it holds the bytecode VM to
+// bitwise-identical results with the interpreter.

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -879,5 +880,159 @@ end
 	m.Arrays["xs"] = xs
 	if err := m.RunLoop(loop); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingIter is an iteration-space double that counts visits. The
+// base version only supports the legacy full-walk ForEach.
+type countingIter struct {
+	n      int
+	visits int
+}
+
+func (c *countingIter) Dims() []int64                 { return []int64{int64(c.n)} }
+func (c *countingIter) At(idx ...int64) float64       { return 0 }
+func (c *countingIter) SetAt(v float64, idx ...int64) {}
+func (c *countingIter) ForEach(f func(idx []int64, v float64)) {
+	for i := 0; i < c.n; i++ {
+		c.visits++
+		f([]int64{int64(i)}, 0)
+	}
+}
+
+// stoppingIter additionally supports early termination.
+type stoppingIter struct{ countingIter }
+
+func (c *stoppingIter) ForEachUntil(f func(idx []int64, v float64) bool) {
+	for i := 0; i < c.n; i++ {
+		c.visits++
+		if !f([]int64{int64(i)}, 0) {
+			return
+		}
+	}
+}
+
+// TestRunLoopStopsOnError: an iteration error must stop the walk when
+// the iteration space supports early termination, and must still
+// surface (skipping the tail) when it does not. The VM's RunLoop is
+// held to the same early stop in internal/lang/vm.
+func TestRunLoopStopsOnError(t *testing.T) {
+	// x is defined only when v > 0; the iterator yields v = 0, so the
+	// read errors on the first iteration.
+	loop, err := Parse("for (key, v) in data\n    if v > 0\n        x = 1\n    end\n    y = x\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewMachine()
+	stopper := &stoppingIter{countingIter{n: 100}}
+	m.Arrays["data"] = stopper
+	if err := m.RunLoop(loop); err == nil {
+		t.Fatal("expected an error")
+	}
+	if stopper.visits != 1 {
+		t.Fatalf("early-terminating walk visited %d elements, want 1", stopper.visits)
+	}
+
+	m2 := NewMachine()
+	legacy := &countingIter{n: 100}
+	m2.Arrays["data"] = legacy
+	if err := m2.RunLoop(loop); err == nil {
+		t.Fatal("expected an error")
+	}
+	if legacy.visits != 100 {
+		t.Fatalf("legacy walk visited %d elements, want 100 (skip semantics)", legacy.visits)
+	}
+}
+
+// TestDistArrayForEachUntil: the DistArray implementation visits in
+// ForEach order and stops on demand, for dense and sparse layouts.
+func TestDistArrayForEachUntil(t *testing.T) {
+	dense := dsm.NewDense("d", 3, 2)
+	dense.MapIndex(func(idx []int64, v float64) float64 { return float64(idx[0]*10 + idx[1]) })
+	sparse := dsm.NewSparse("s", 5)
+	sparse.SetAt(1, 4)
+	sparse.SetAt(2, 1)
+	sparse.SetAt(3, 3)
+	for _, a := range []*dsm.DistArray{dense, sparse} {
+		var full, until [][]int64
+		a.ForEach(func(idx []int64, v float64) {
+			full = append(full, append([]int64(nil), idx...))
+		})
+		a.ForEachUntil(func(idx []int64, v float64) bool {
+			until = append(until, append([]int64(nil), idx...))
+			return true
+		})
+		if fmt.Sprint(full) != fmt.Sprint(until) {
+			t.Fatalf("%s: order differs: %v vs %v", a.Name(), full, until)
+		}
+		var count int
+		a.ForEachUntil(func(idx []int64, v float64) bool {
+			count++
+			return count < 2
+		})
+		if count != 2 {
+			t.Fatalf("%s: early stop visited %d elements, want 2", a.Name(), count)
+		}
+	}
+}
+
+// TestNotCompilable: the resolution front end decides the compiled
+// subset on its own. Name collisions whose dynamic shadowing the
+// interpreter defines, and writes or reads the slot scheme does not
+// model, must be rejected with *NotCompilableError carrying the reason
+// (so callers fall back to the interpreter), never resolved. The
+// VM-level cases (aliasing, ill-typed bodies, unknown functions) are in
+// internal/lang/vm's TestVMNotCompilable.
+func TestNotCompilable(t *testing.T) {
+	base := func() *CompileEnv {
+		return &CompileEnv{
+			Arrays:  map[string][]int64{"data": {4, 4}, "A": {4, 4}},
+			Buffers: map[string]string{"b": "A"},
+			Globals: []string{"g"},
+		}
+	}
+	cases := []struct {
+		name, body, want string
+		edit             func(*CompileEnv)
+	}{
+		{"array and buffer", "x = 1", `name "A" is both an array and a buffer`,
+			func(e *CompileEnv) { e.Buffers["A"] = "data" }},
+		{"global and array", "x = 1", `name "A" is both a global and an array`,
+			func(e *CompileEnv) { e.Globals = append(e.Globals, "A") }},
+		{"key shadows global", "x = 1", `key variable "key" shadows a global`,
+			func(e *CompileEnv) { e.Globals = append(e.Globals, "key") }},
+		{"key shadows array", "x = 1", `key variable "key" shadows an array`,
+			func(e *CompileEnv) { e.Arrays["key"] = []int64{2} }},
+		{"value shadows global", "x = 1", `value variable "v" shadows a global`,
+			func(e *CompileEnv) { e.Globals = append(e.Globals, "v") }},
+		{"value shadows array", "x = 1", `value variable "v" shadows an array`,
+			func(e *CompileEnv) { e.Arrays["v"] = []int64{2} }},
+		{"assign to key", "key = 1", `assignment to the key variable "key"`, nil},
+		{"local shadows buffer", "b = 1", `local variable "b" shadows a buffer`, nil},
+		{"inner loop var shadows global", "for g = 1:3\n        x = g\n    end", `inner loop variable "g" shadows a global`, nil},
+		{"write through key", "key[1] = 2", `write through the key tuple "key"`, nil},
+		{"read through buffer", "x = b[1, 1]", `read through buffer "b"`, nil},
+		{"buffer plain write", "b[1, 1] = 2", `DistArray Buffer "b" accepts only += and -= writes`, nil},
+		{"range in buffer write", "b[:, 1] += 2", `range subscript in buffer write "b"`, nil},
+		{"subscript of global", "x = g[1]", `subscript of scalar global "g"`, nil},
+	}
+	for _, tc := range cases {
+		loop, err := Parse("for (key, v) in data\n    " + tc.body + "\nend\n")
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		env := base()
+		if tc.edit != nil {
+			tc.edit(env)
+		}
+		_, err = ResolveLoop(loop, env)
+		nce, ok := err.(*NotCompilableError)
+		if !ok {
+			t.Fatalf("%s: ResolveLoop = %v (%T), want *NotCompilableError", tc.name, err, err)
+		}
+		if nce.Reason != tc.want {
+			t.Fatalf("%s: reason %q, want %q", tc.name, nce.Reason, tc.want)
+		}
 	}
 }

@@ -12,12 +12,12 @@ import (
 // statement and recycled at statement boundaries; locals occupy the low
 // registers of each file so slot numbers double as register numbers.
 //
-// Evaluation-order parity with the closure backend is load-bearing:
+// Evaluation-order parity with the interpreter is load-bearing:
 // definedness checks precede subscript evaluation for vector-local
 // reads, assignment right-hand sides are evaluated before target
 // checks, array nil checks precede subscript evaluation, and subscripts
-// evaluate in dimension order with lo before hi. Each emission site
-// below mirrors the corresponding compile*.go closure.
+// evaluate in dimension order with lo before hi, so a faulting
+// iteration stops at the same point with the same error.
 
 type comp struct {
 	res  *lang.Resolution
@@ -112,8 +112,8 @@ func (d *defState) intersect(o *defState) {
 
 // Compile lowers a loop body to bytecode against the given environment.
 // It returns *lang.NotCompilableError for loops outside the compiled
-// subset — the same subset as lang.CompileLoop, decided entirely by the
-// shared resolution front end.
+// subset, which the resolution front end (lang.ResolveLoop) decides
+// entirely.
 func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 	res, rerr := lang.ResolveLoop(loop, env)
 	if rerr != nil {
@@ -920,12 +920,23 @@ func (c *comp) lowerStmt(st lang.Stmt) {
 	}
 }
 
-// vecMode mirrors the closure backend's result-usage classification.
+// vecMode says how a vector expression's result will be used, which
+// decides whether a live or borrowed slice may be returned.
 type vecMode int
 
 const (
+	// vecConsume: the result is read element-wise into separate storage
+	// before any array write can occur (builtin/operator operands).
+	// Live array views and variable slots may be returned directly.
 	vecConsume vecMode = iota
+	// vecStore: the result is stored in a variable slot; it must be
+	// uniquely owned scratch (the interpreter allocates fresh vectors,
+	// so a stored result never aliases an array or another variable).
 	vecStore
+	// vecWrite: the result is written into an array range; it must not
+	// alias any array (overlapping in-place range copies would diverge
+	// from the interpreter's copy-then-write), but variable slots are
+	// fine.
 	vecWrite
 )
 
@@ -1411,7 +1422,7 @@ func (c *comp) lowerFloatIndex(x *lang.Index) int32 {
 	}
 	if slot, isVec := c.res.VecSlot(base); isVec {
 		// Definedness is checked before the subscript evaluates,
-		// matching the closure backend's fall-through semantics.
+		// matching the interpreter's fall-through semantics.
 		c.chkVElem(int32(slot), base, selRead)
 		sub := c.lowerFloat(x.Subs[0])
 		dst := c.allocF()
@@ -1473,7 +1484,7 @@ func (c *comp) lowerVecBin(x *lang.BinOp) int32 {
 	lt := c.res.ExprKind(x.L)
 	rt := c.res.ExprKind(x.R)
 	// AxpyRow fusion: v ± s*w evaluates the three operands in the same
-	// order as the unfused closures (l, then s, then w) and rounds the
+	// order as the unfused lowering (l, then s, then w) and rounds the
 	// product before the add, so results stay bitwise identical.
 	if (x.Op == "+" || x.Op == "-") && lt == lang.KindVec {
 		if m, isMul := x.R.(*lang.BinOp); isMul && m.Op == "*" &&

@@ -14,11 +14,12 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Three-way differential harness: run a program under the interpreter,
-// the closure compiler, and the bytecode VM, and require bitwise-
-// identical outcomes — same stop point, same error or panic, same
-// DistArray contents, same global/accumulator values. The two compiled
-// backends must also agree exactly on what is compilable.
+// Differential harness: run a program under the interpreter — the
+// reference semantics — and the bytecode VM, and require bitwise-
+// identical outcomes: same stop point, same error or panic, same
+// DistArray contents, same global/accumulator values. A program the VM
+// rejects must be one the resolution front end rejects, so the
+// interpreter defines it.
 // ---------------------------------------------------------------------
 
 const (
@@ -243,19 +244,6 @@ func runInterp(prog *lang.Program, globals map[string]float64, cfg diffConfig) b
 	return res
 }
 
-// kernelAPI is the surface shared by the two compiled backends; the
-// harness drives both through it.
-type kernelAPI interface {
-	BindArray(name string, a lang.ArrayAccess) error
-	BindBuffer(name string, b lang.BufferAccess) error
-	SetRng(r lang.RandSource)
-	SetStepBudget(n int64)
-	SetVecLimit(n int64)
-	SetGlobal(name string, v float64) bool
-	Global(name string) (float64, bool)
-	RunIteration(key []int64, val float64) error
-}
-
 func globalNames(globals map[string]float64) []string {
 	names := make([]string, 0, len(globals))
 	for n := range globals {
@@ -265,8 +253,11 @@ func globalNames(globals map[string]float64) []string {
 	return names
 }
 
-func runKernel(t *testing.T, prog *lang.Program, globals map[string]float64, cfg diffConfig, k kernelAPI, runBlock func(keys [][]int64, vals []float64, progress *int) (int, error)) backendResult {
+// runVM executes the program on a fresh kernel of p, per iteration or,
+// with cfg.block, in one RunBlock call.
+func runVM(t *testing.T, prog *lang.Program, globals map[string]float64, cfg diffConfig, p *Prog) backendResult {
 	t.Helper()
+	k := p.NewKernel()
 	arrays := buildArrays(prog.Env, cfg.scheme, cfg.seed)
 	views, writeBack := bindViews(prog, arrays, cfg)
 	for n, a := range views {
@@ -294,7 +285,7 @@ func runKernel(t *testing.T, prog *lang.Program, globals map[string]float64, cfg
 		keys, vals = keys[:cfg.maxIters], vals[:cfg.maxIters]
 	}
 	res := backendResult{arrays: arrays, globals: map[string]float64{}}
-	if runBlock != nil {
+	if cfg.block {
 		// progress escapes through the onIter callback: when a panic
 		// unwinds RunBlock, its return value is lost, but the completed
 		// count written per iteration survives.
@@ -306,7 +297,7 @@ func runKernel(t *testing.T, prog *lang.Program, globals map[string]float64, cfg
 					res.panicMsg = fmt.Sprint(r)
 				}
 			}()
-			done, err := runBlock(keys, vals, &progress)
+			done, err := k.RunBlock(keys, vals, func(i int) { progress = i + 1 })
 			progress = done
 			if err != nil {
 				res.errMsg = err.Error()
@@ -377,9 +368,11 @@ func canonBits(v float64) uint64 {
 	return math.Float64bits(v)
 }
 
-// diffProgram runs one parsed program under all three backends.
-// Returns false when the program is outside the compiled subset — in
-// which case BOTH compiled backends must have rejected it.
+// diffProgram runs one parsed program under the interpreter and the
+// VM. It returns false when the program is outside the compiled subset
+// — in which case the VM must have rejected it with the same
+// *lang.NotCompilableError as the resolution front end, leaving the
+// program to the interpreter.
 func diffProgram(t *testing.T, label string, prog *lang.Program, cfg diffConfig) bool {
 	t.Helper()
 	globals := diffGlobals(prog.Env, prog.Loop, prog.Globals)
@@ -388,32 +381,17 @@ func diffProgram(t *testing.T, label string, prog *lang.Program, cfg diffConfig)
 		Buffers: prog.Env.Buffers,
 		Globals: globalNames(globals),
 	}
-	cl, clErr := lang.CompileLoop(prog.Loop, cenv)
 	p, vmErr := Compile(prog.Loop, cenv)
-	if (clErr == nil) != (vmErr == nil) {
-		t.Fatalf("%s: backends disagree on compilability:\nclosure: %v\nvm:      %v", label, clErr, vmErr)
-	}
-	if clErr != nil {
-		if _, ok := clErr.(*lang.NotCompilableError); !ok {
-			t.Fatalf("%s: CompileLoop failed with %T: %v", label, clErr, clErr)
-		}
+	if vmErr != nil {
 		if _, ok := vmErr.(*lang.NotCompilableError); !ok {
 			t.Fatalf("%s: vm.Compile failed with %T: %v", label, vmErr, vmErr)
 		}
+		if _, resErr := lang.ResolveLoop(prog.Loop, cenv); resErr == nil || resErr.Error() != vmErr.Error() {
+			t.Fatalf("%s: vm.Compile rejected a loop the front end resolves as %v:\nvm: %v", label, resErr, vmErr)
+		}
 		return false
 	}
-	interp := runInterp(prog, globals, cfg)
-	compiled := runKernel(t, prog, globals, cfg, cl.NewKernel(), nil)
-	compareResults(t, label, "compiled", interp, compiled)
-	vk := p.NewKernel()
-	var blockFn func([][]int64, []float64, *int) (int, error)
-	if cfg.block {
-		blockFn = func(keys [][]int64, vals []float64, progress *int) (int, error) {
-			return vk.RunBlock(keys, vals, func(i int) { *progress = i + 1 })
-		}
-	}
-	vmRes := runKernel(t, prog, globals, cfg, vk, blockFn)
-	compareResults(t, label, "vm", interp, vmRes)
+	compareResults(t, label, "vm", runInterp(prog, globals, cfg), runVM(t, prog, globals, cfg, p))
 	return true
 }
 
@@ -434,10 +412,10 @@ func exampleProgramSources(t testing.TB) map[string]string {
 	return out
 }
 
-// TestDifferentialExamples: every shipped example must compile under
-// both compiled backends and produce bitwise-identical results across
-// all three, across fill schemes, walk restrictions, and both the
-// per-iteration and batched (RunBlock) VM drivers.
+// TestDifferentialExamples: every shipped example must compile on the
+// VM and match the interpreter bitwise across fill schemes, walk
+// restrictions, and both the per-iteration and batched (RunBlock) VM
+// drivers.
 func TestDifferentialExamples(t *testing.T) {
 	for name, src := range exampleProgramSources(t) {
 		prog, err := lang.ParseProgram(src)
@@ -459,7 +437,7 @@ func TestDifferentialExamples(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Randomized three-way differential property tests.
+// Randomized differential property tests.
 // ---------------------------------------------------------------------
 
 func typedFloatExpr(rng *rand.Rand, depth int) lang.Expr {
@@ -631,7 +609,7 @@ func typedStmt(rng *rand.Rand, depth int) lang.Stmt {
 }
 
 // TestDifferentialRandomPrograms: randomly generated (mostly
-// well-typed) loops must behave identically under all three backends,
+// well-typed) loops must behave identically under both backends,
 // over whole arrays and again over partition windows — which holds the
 // VM's window arithmetic (point mirrors, row views, bulk range paths)
 // and its out-of-window fallback to the interpreter.
@@ -678,6 +656,110 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	}
 }
 
+// untypedExpr and untypedStmt generate random well-formed but mostly
+// ill-typed ASTs over undeclared names, vector-valued subscripts, and
+// comparisons used as values: the shapes the front end must reject, or
+// lower exactly as the interpreter defines them.
+func untypedExpr(rng *rand.Rand, depth int) lang.Expr {
+	if depth <= 0 {
+		switch rng.Intn(3) {
+		case 0:
+			return &lang.Num{Val: float64(rng.Intn(100))}
+		case 1:
+			return &lang.Ident{Name: untypedName(rng)}
+		default:
+			return &lang.Index{Base: "key", Subs: []lang.Expr{&lang.Num{Val: float64(1 + rng.Intn(2))}}}
+		}
+	}
+	switch rng.Intn(5) {
+	case 0:
+		ops := []string{"+", "-", "*", "/", "^", "<", ">", "=="}
+		return &lang.BinOp{Op: ops[rng.Intn(len(ops))],
+			L: untypedExpr(rng, depth-1), R: untypedExpr(rng, depth-1)}
+	case 1:
+		return &lang.UnOp{Op: "-", X: untypedExpr(rng, depth-1)}
+	case 2:
+		return &lang.Call{Fn: "abs", Args: []lang.Expr{untypedExpr(rng, depth-1)}}
+	case 3:
+		return &lang.Index{Base: "A", Subs: []lang.Expr{untypedExpr(rng, depth-1), &lang.RangeExpr{Full: true}}}
+	default:
+		return untypedExpr(rng, 0)
+	}
+}
+
+func untypedName(rng *rand.Rand) string {
+	names := []string{"x", "y", "foo", "w_1", "alpha"}
+	return names[rng.Intn(len(names))]
+}
+
+func untypedStmt(rng *rand.Rand, depth int) lang.Stmt {
+	if depth <= 0 || rng.Intn(3) == 0 {
+		ops := []string{"=", "+=", "-=", "*=", "/="}
+		return &lang.Assign{
+			Target: &lang.Ident{Name: untypedName(rng)},
+			Op:     ops[rng.Intn(len(ops))],
+			Value:  untypedExpr(rng, 2),
+		}
+	}
+	switch rng.Intn(3) {
+	case 0:
+		st := &lang.If{Cond: &lang.BinOp{Op: "<", L: untypedExpr(rng, 1), R: untypedExpr(rng, 1)},
+			Then: []lang.Stmt{untypedStmt(rng, depth-1)}}
+		if rng.Intn(2) == 0 {
+			st.Else = []lang.Stmt{untypedStmt(rng, depth-1)}
+		}
+		return st
+	case 1:
+		return &lang.ForRange{Var: "k", Lo: &lang.Num{Val: 1}, Hi: &lang.Num{Val: float64(2 + rng.Intn(5))},
+			Body: []lang.Stmt{untypedStmt(rng, depth-1)}}
+	default:
+		return &lang.Assign{
+			Target: &lang.Index{Base: "A", Subs: []lang.Expr{untypedExpr(rng, 1), untypedExpr(rng, 1)}},
+			Op:     "=",
+			Value:  untypedExpr(rng, 2),
+		}
+	}
+}
+
+// TestDifferentialRandomASTs: whenever one of the untyped generator's
+// (frequently ill-typed) loops compiles, the VM must still agree with
+// the interpreter, per iteration and batched; when it does not, the
+// front end must have rejected it.
+func TestDifferentialRandomASTs(t *testing.T) {
+	env := &lang.Env{Arrays: map[string][]int64{
+		"data": {4, 3},
+		"A":    {4, 3},
+	}}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		loop := &lang.Loop{KeyVar: "key", ValVar: "v", IterVar: "data"}
+		n := 1 + rng.Intn(4)
+		for i := 0; i < n; i++ {
+			loop.Body = append(loop.Body, untypedStmt(rng, 2))
+		}
+		prog := &lang.Program{Env: env, Loop: loop}
+		cfg := diffConfig{scheme: fillInts, seed: int64(trial), maxIters: 12, block: trial%2 == 0}
+		diffProgram(t, fmt.Sprintf("trial %d:\n%s", trial, loop.String()), prog, cfg)
+	}
+}
+
+// TestStepBudgetParity: both backends exhaust the inner-loop step
+// budget at the same iteration with the same error, per iteration and
+// batched.
+func TestStepBudgetParity(t *testing.T) {
+	loop, err := lang.Parse("for (key, v) in data\n    acc = 0\n    for k = 1:100\n        acc += k\n    end\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &lang.Program{Env: &lang.Env{Arrays: map[string][]int64{"data": {3, 3}}}, Loop: loop}
+	for _, block := range []bool{false, true} {
+		cfg := diffConfig{scheme: fillInts, seed: 5, budget: 150, vecLimit: 64, block: block}
+		if !diffProgram(t, fmt.Sprintf("step budget, block=%v", block), prog, cfg) {
+			t.Fatal("budget program should be compilable")
+		}
+	}
+}
+
 // TestDifferentialWindows: one program per dense path — rank-1, rank-2
 // and rank-3 point access, row view, materialized range read, strided
 // and contiguous range stores, vector and scalar range updates — run
@@ -718,8 +800,9 @@ func TestDifferentialWindows(t *testing.T) {
 	}
 }
 
-// TestVMNotCompilable: the VM must reject exactly the constructs the
-// closure backend rejects, with *lang.NotCompilableError.
+// TestVMNotCompilable: constructs outside the compiled subset must be
+// rejected with *lang.NotCompilableError (so callers fall back to the
+// interpreter), never miscompiled.
 func TestVMNotCompilable(t *testing.T) {
 	env := &lang.CompileEnv{
 		Arrays:  map[string][]int64{"data": {4, 4}, "A": {4, 4}},
@@ -754,7 +837,7 @@ func TestVMNotCompilable(t *testing.T) {
 }
 
 // TestVMRuntimeErrors: runtime faults must carry the exact interpreter
-// messages (the three-way differential fuzzer depends on it).
+// messages (the differential fuzzer depends on it).
 func TestVMRuntimeErrors(t *testing.T) {
 	env := &lang.CompileEnv{
 		Arrays:  map[string][]int64{"data": {4, 4}, "A": {4, 4}, "B": {3, 4}},

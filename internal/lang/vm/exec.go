@@ -110,7 +110,7 @@ func (k *Kernel) exec() {
 			fr[in.a] = 1 / (1 + math.Exp(-fr[in.b]))
 			pc++
 		case opMinF:
-			// Same NaN behavior as the closure backend's
+			// Same NaN behavior as the interpreter's
 			// isMin == (av < bv) selection.
 			av, bv := fr[in.b], fr[in.c]
 			if av < bv {
@@ -383,8 +383,8 @@ func (k *Kernel) exec() {
 			}
 			out := k.growScratch(int(ax.sid), len(lv))
 			// The float64 conversions round the products exactly as the
-			// unfused closure pipeline does, keeping FMA-capable
-			// architectures from fusing the multiply-add.
+			// interpreter's unfused multiply then add does, keeping
+			// FMA-capable architectures from fusing the multiply-add.
 			if ax.sub {
 				for i := range lv {
 					out[i] = lv[i] - float64(s*wv[i])
@@ -660,8 +660,8 @@ func (k *Kernel) exec() {
 
 // vecOpVV applies out[i] = l[i] op r[i]; the selector switch stays
 // outside the loop. Slices may alias base-aligned (shared scratch), in
-// which case forward elementwise application matches the closure
-// backend exactly.
+// which case forward elementwise application matches the interpreter
+// exactly.
 func vecOpVV(sel int32, out, l, r []float64) {
 	switch sel {
 	case selAdd:
@@ -864,8 +864,8 @@ func (k *Kernel) rowView(acc *access) []float64 {
 		}
 	}
 	// Outside the dense window, or not dense at all: materialize
-	// element-wise like the closure backend's generic path, so any
-	// panic matches the interpreter's At-based read. The trailing
+	// element-wise through At, so any panic matches the interpreter's
+	// At-based read. The trailing
 	// coordinates were already evaluated into registers, so fillIx
 	// only converts.
 	ix := k.fillIx(acc)

@@ -8,11 +8,11 @@ import (
 
 // FuzzExecDifferential: any program that parses and analyzes clean and
 // falls inside the compiled subset must behave bitwise-identically
-// under the interpreter, the closure compiler, and the bytecode VM —
-// same stop point, same error or panic, same DistArray and global
-// values — and the two compiled backends must agree exactly on what is
-// compilable. Each program runs over whole arrays and again over
-// partition windows. Seeded with the full shipped example corpus.
+// under the interpreter and the bytecode VM — same stop point, same
+// error or panic, same DistArray and global values — and a program the
+// VM rejects must be one the resolution front end rejects, leaving it
+// to the interpreter. Each program runs over whole arrays and again
+// over partition windows. Seeded with the full shipped example corpus.
 func FuzzExecDifferential(f *testing.F) {
 	for _, src := range exampleProgramSources(f) {
 		f.Add(src)

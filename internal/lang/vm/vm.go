@@ -1,9 +1,9 @@
 // Package vm is the register-bytecode backend for DSL loop bodies: the
 // slot-resolved AST (lang.ResolveLoop) is lowered to a compact
 // instruction stream executed by a switch dispatcher over flat register
-// files. It sits between the tree-walking interpreter (the reference
-// semantics) and the closure compiler: the same compiled subset, the
-// same runtime-error messages, bitwise-identical results — but fused
+// files. It is the fast backend beside the tree-walking interpreter
+// (the reference semantics): the same runtime-error messages and
+// bitwise-identical results, but every name is a fixed slot, fused
 // subscript ops (SubscriptLoadF/SubscriptStoreF, row view/store,
 // AxpyRow, DotRows) operate on dense array storage through flat offset
 // arithmetic instead of per-element interface calls, and RunBlock
@@ -23,7 +23,7 @@
 // the next run, and a kernel that outlives the storage it ran over
 // must Unbind, or it keeps that storage alive.
 //
-// Differential tests in this package hold all three backends to
+// Differential tests in this package hold the VM and the interpreter to
 // bitwise-identical DistArray, accumulator, and error results, over
 // whole arrays and over partition windows.
 package vm
@@ -72,7 +72,7 @@ const (
 	opFloorF
 	opCeilF
 	opSigmoidF
-	opMinF // fr[a] = min(fr[b], fr[c]) with the closure backend's NaN order
+	opMinF // fr[a] = min(fr[b], fr[c]) with the interpreter's NaN order
 	opMaxF
 	opRandF // fr[a] = rng.Float64()
 	opKeyF  // fr[a] = float64(key[int64(fr[b])-1] + 1)

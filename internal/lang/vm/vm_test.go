@@ -92,11 +92,13 @@ func TestVMZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestVMSpeedupOverClosure: the VM's fused dense paths must beat the
-// closure backend on the MF body. The committed BENCH_vm.json gate
-// asserts >= 2x; here we assert a conservative 1.3x so CI noise cannot
-// flake a unit test that runs on every push.
-func TestVMSpeedupOverClosure(t *testing.T) {
+// TestVMSpeedupOverInterp: the VM's fused dense paths must beat the
+// reference interpreter by a wide margin on the MF body, measured live
+// in the same process. The floor is 12x: the VM once had to beat the
+// closure backend by 1.3x here, and that backend ran MF 9.2-9.4x faster
+// than the interpreter, so 12x is at least as strict. The committed
+// BENCH_vm.json gate asks for >= 25x on two of three kernels.
+func TestVMSpeedupOverInterp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
@@ -104,31 +106,12 @@ func TestVMSpeedupOverClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cenv := &lang.CompileEnv{
-		Arrays: map[string][]int64{
-			"ratings": {100, 100}, "W": {16, 100}, "H": {16, 100},
-		},
-		Globals: []string{"step_size"},
-	}
-	cl, err := lang.CompileLoop(loop, cenv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := cl.NewKernel()
-	p := compileMF(t)
-	vk, _, _ := bindMF(t, p)
-	for name, dims := range cenv.Arrays {
-		var a *dsm.DistArray
-		if name == "ratings" {
-			a = dsm.NewSparse(name, dims...)
-		} else {
-			a = dsm.NewDense(name, dims...)
-		}
-		if err := ck.BindArray(name, a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ck.SetGlobal("step_size", 0.01)
+	vk, w, h := bindMF(t, compileMF(t))
+	m := lang.NewMachine()
+	m.Arrays["ratings"] = dsm.NewSparse("ratings", 100, 100)
+	m.Arrays["W"] = w.Clone()
+	m.Arrays["H"] = h.Clone()
+	m.Globals["step_size"] = float64(0.01)
 	key := []int64{3, 7}
 
 	vmRes := testing.Benchmark(func(b *testing.B) {
@@ -138,21 +121,21 @@ func TestVMSpeedupOverClosure(t *testing.T) {
 			}
 		}
 	})
-	clRes := testing.Benchmark(func(b *testing.B) {
+	inRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := ck.RunIteration(key, 1.5); err != nil {
+			if err := m.RunIteration(loop, key, 1.5); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	vn, cn := vmRes.NsPerOp(), clRes.NsPerOp()
-	if vn <= 0 || cn <= 0 {
-		t.Skipf("timer resolution too coarse: vm %d ns, closure %d ns", vn, cn)
+	vn, in := vmRes.NsPerOp(), inRes.NsPerOp()
+	if vn <= 0 || in <= 0 {
+		t.Skipf("timer resolution too coarse: vm %d ns, interp %d ns", vn, in)
 	}
-	if float64(cn) < 1.3*float64(vn) {
-		t.Fatalf("vm backend is not >=1.3x faster: closure %d ns/iter, vm %d ns/iter", cn, vn)
+	if float64(in) < 12*float64(vn) {
+		t.Fatalf("vm backend is not >=12x faster: interp %d ns/iter, vm %d ns/iter", in, vn)
 	}
-	t.Logf("closure %d ns/iter, vm %d ns/iter (%.1fx)", cn, vn, float64(cn)/float64(vn))
+	t.Logf("interp %d ns/iter, vm %d ns/iter (%.1fx)", in, vn, float64(in)/float64(vn))
 }
 
 // TestRunBlockStopsAtFault: a mid-block fault reports the number of
@@ -328,7 +311,7 @@ func TestVMSparseFallback(t *testing.T) {
 }
 
 // TestVMRunLoop: RunLoop walks the bound iteration space like the
-// closure backend, stopping early on error when supported.
+// interpreter, stopping early on error when the space supports it.
 func TestVMRunLoop(t *testing.T) {
 	loop, err := lang.Parse("for (key, v) in data\n    acc += v\nend\n")
 	if err != nil {
@@ -353,6 +336,47 @@ func TestVMRunLoop(t *testing.T) {
 	}
 	if got, _ := k.Global("acc"); got != 10 {
 		t.Fatalf("acc = %v, want 10", got)
+	}
+
+	// x is defined only when v > 0; the iterator yields v = 0, so the
+	// read faults on the first iteration and the walk must stop there.
+	loop, err = lang.Parse("for (key, v) in data\n    if v > 0\n        x = 1\n    end\n    y = x\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err = Compile(loop, &lang.CompileEnv{Arrays: map[string][]int64{"data": {100}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k = p.NewKernel()
+	stopper := &stoppingIter{n: 100}
+	if err := k.BindArray("data", stopper); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunLoop(); err == nil {
+		t.Fatal("expected an error")
+	}
+	if stopper.visits != 1 {
+		t.Fatalf("early-terminating walk visited %d elements, want 1", stopper.visits)
+	}
+}
+
+// stoppingIter is an iteration space that counts visits and supports
+// early termination (lang.IterableUntil).
+type stoppingIter struct{ n, visits int }
+
+func (c *stoppingIter) Dims() []int64           { return []int64{int64(c.n)} }
+func (c *stoppingIter) At(...int64) float64     { return 0 }
+func (c *stoppingIter) SetAt(float64, ...int64) {}
+func (c *stoppingIter) ForEach(f func(idx []int64, v float64)) {
+	c.ForEachUntil(func(idx []int64, v float64) bool { f(idx, v); return true })
+}
+func (c *stoppingIter) ForEachUntil(f func(idx []int64, v float64) bool) {
+	for i := 0; i < c.n; i++ {
+		c.visits++
+		if !f([]int64{int64(i)}, 0) {
+			return
+		}
 	}
 }
 

@@ -155,8 +155,8 @@ type Msg struct {
 	// materialized partitions, and the synthesized prefetch spec, so
 	// executors re-derive nothing), the declared arrays/buffers,
 	// captured driver globals, and accumulator names. Backend selects
-	// the loop execution backend: "" (compiled with interpreter
-	// fallback), "compiled" (fallback is an error), or "interp".
+	// the loop execution backend: "" (bytecode VM with interpreter
+	// fallback), "vm" (fallback is an error), or "interp".
 	LoopSrc     string
 	PlanBlob    []byte
 	ArrayDims   map[string][]int64
