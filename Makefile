@@ -91,9 +91,9 @@ bench-obs:
 bench-vm:
 	$(GO) run ./cmd/orion-bench -vm-json BENCH_vm.json
 
-# Regenerate the committed rotation-transport baseline (gob blobs vs
-# the raw codec over pooled buffers). TestTransportBaselineThresholds
-# gates the result.
+# Regenerate the committed rotation-transport baseline (the shipped raw
+# codec vs the frozen gob and raw-nocrc comparators in internal/bench).
+# TestTransportBaselineThresholds gates the result and a live re-measure.
 bench-transport:
 	$(GO) run ./cmd/orion-bench -transport-json BENCH_transport.json
 
@@ -126,13 +126,15 @@ golden-plans-check:
 
 # Short fuzzing sessions over the DSL front end, the plan-artifact
 # decoders, the symbolic dependence tier (soundness vs the brute-force
-# oracle), the interpreter-vs-VM execution differential, and
-# the wire-frame decoder (hostile header claims must condemn the link,
-# never crash or over-allocate).
+# oracle), the interpreter-vs-VM execution differential, the
+# partition-layout decoder (malformed layouts are typed errors; accepted
+# ones re-encode bit for bit), and the wire-frame decoder (hostile
+# header claims must condemn the link, never crash or over-allocate).
 fuzz:
 	$(GO) test ./internal/lang -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/lang -fuzz FuzzParseProgram -fuzztime 30s
 	$(GO) test ./internal/plan -fuzz FuzzDecodeArtifact -fuzztime 30s
 	$(GO) test ./internal/dep -fuzz FuzzRangeAnalysis -fuzztime 30s
 	$(GO) test ./internal/lang/vm -fuzz FuzzExecDifferential -fuzztime 30s
+	$(GO) test ./internal/dsm -fuzz FuzzDecodePartition -fuzztime 30s
 	$(GO) test ./internal/runtime -fuzz FuzzDecodeFrame -fuzztime 30s

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"testing"
 
@@ -16,7 +17,8 @@ import (
 // the bytecode VM must hold >= 25x over the reference interpreter on at
 // least two of the three reference kernels at zero allocations per
 // iteration, and the raw rotation codec must allocate >= 5x less per
-// rotated partition than the gob path it replaced.
+// rotated partition than the gob path it replaced and keep >= 0.95x the
+// throughput of the raw path without its integrity layer.
 //
 // The VM floor replaces an earlier ">= 2x over the closure backend",
 // which ran 9.2-9.4x (MF) and 12.2-12.6x (LDA) faster than the
@@ -58,6 +60,10 @@ func kernelSpeedups(d vmBaseline) map[string]float64 {
 	return m
 }
 
+// TestTransportBaselineThresholds applies the transport floors to the
+// committed BENCH_transport.json and to a live measurement of the same
+// three rows, taken round-robin with a fixed small iteration count so
+// the run costs well under a second.
 func TestTransportBaselineThresholds(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_transport.json")
 	if err != nil {
@@ -67,9 +73,33 @@ func TestTransportBaselineThresholds(t *testing.T) {
 	if err := json.Unmarshal(raw, &d); err != nil {
 		t.Fatal(err)
 	}
+	checkTransportFloors(t, "BENCH_transport.json", d.Rows)
+
+	bt := flag.Lookup("test.benchtime")
+	prev := bt.Value.String()
+	if err := bt.Value.Set("40x"); err != nil {
+		t.Fatal(err)
+	}
+	live, err := measureTransport(16, 4096)
+	bt.Value.Set(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("live: %+v", live.Rows)
+	checkTransportFloors(t, "live", live.Rows)
+}
+
+// checkTransportFloors: the raw codec must allocate >= 5x less per
+// rotated partition than the gob path it replaced, and its integrity
+// layer (CRC32C trailer + frame sequencing) must cost under 5% of
+// throughput against raw-nocrc, the pre-hardening raw transport. Each
+// set of rows comes from one run on one machine, so the ratios hold
+// across machines even though the absolute numbers do not.
+func checkTransportFloors(t *testing.T, source string, rows []transportRow) {
+	t.Helper()
 	var gobAllocs, rawAllocs int64 = -1, -1
 	var rawMB, noCRCMB float64 = -1, -1
-	for _, r := range d.Rows {
+	for _, r := range rows {
 		switch r.Path {
 		case "gob":
 			gobAllocs = r.AllocsPerRotation
@@ -80,23 +110,14 @@ func TestTransportBaselineThresholds(t *testing.T) {
 			noCRCMB = r.MBPerSec
 		}
 	}
-	if gobAllocs < 0 || rawAllocs < 0 {
-		t.Fatalf("baseline missing a path: rows = %+v", d.Rows)
+	if gobAllocs < 0 || rawAllocs < 0 || noCRCMB < 0 {
+		t.Fatalf("%s: missing a path (regenerate with `make bench-transport`): rows = %+v", source, rows)
 	}
 	if rawAllocs*5 > gobAllocs {
-		t.Errorf("raw codec allocates %d per rotation vs gob's %d — want >= 5x fewer", rawAllocs, gobAllocs)
-	}
-	// Wire integrity budget: the hardened raw path (CRC32C trailer +
-	// frame sequencing) must hold within 5% of the pre-hardening raw
-	// transport it replaced — raw-nocrc reproduces that path exactly,
-	// integrity layer off and the original narrow staging. Both rows
-	// come from the same baseline run on the same machine, so the ratio
-	// is machine-independent even though the absolute numbers are not.
-	if noCRCMB < 0 {
-		t.Fatalf("baseline missing the raw-nocrc path (regenerate with `make bench-transport`): rows = %+v", d.Rows)
+		t.Errorf("%s: raw codec allocates %d per rotation vs gob's %d — want >= 5x fewer", source, rawAllocs, gobAllocs)
 	}
 	if rawMB < 0.95*noCRCMB {
-		t.Errorf("raw path with integrity layer runs at %.1f MB/s vs %.1f MB/s without — over the 5%% checksum budget", rawMB, noCRCMB)
+		t.Errorf("%s: raw path with integrity layer runs at %.1f MB/s vs %.1f MB/s without — over the 5%% checksum budget", source, rawMB, noCRCMB)
 	}
 }
 
@@ -170,24 +191,27 @@ func BenchmarkVMIteration(b *testing.B) {
 }
 
 // BenchmarkTransportRotation: one dense partition shipped peer-to-peer
-// and installed, on both codec paths — the measurement behind
-// BENCH_transport.json.
+// and installed, on the shipped codec and both frozen comparators — the
+// measurement behind BENCH_transport.json.
 func BenchmarkTransportRotation(b *testing.B) {
 	a := dsm.NewDense("W", 16, 512)
 	a.Map(func(float64) float64 { return 0.25 })
 	p := a.ExtractRange(1, 0, 512)
 	for _, path := range []struct {
 		name string
-		gob  bool
-	}{{"gob", true}, {"raw", false}} {
+		new  func() rotationPath
+	}{
+		{"gob", func() rotationPath { return newLegacyRotation(false) }},
+		{"raw", func() rotationPath { return runtime.NewRotationBench() }},
+		{"raw-nocrc", func() rotationPath { return newLegacyRotation(true) }},
+	} {
 		b.Run(path.name, func(b *testing.B) {
-			rb := runtime.NewRotationBench()
-			defer rb.Close()
-			var ack runtime.Msg
+			rp := path.new()
+			defer rp.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := rb.RoundTrip("W", p, path.gob, &ack); err != nil {
+				if err := rp.RoundTrip(p); err != nil {
 					b.Fatal(err)
 				}
 			}

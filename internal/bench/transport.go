@@ -13,12 +13,14 @@ import (
 )
 
 // The rotation-transport experiment: the cost of shipping one rotated
-// dense partition peer-to-peer under the legacy per-message gob
-// partition encoding vs the length-prefixed raw codec over pooled
-// buffers, measured through the production peer codec with a counting
-// connection (so bytes include all framing). The committed
-// BENCH_transport.json baseline gates the raw path's allocation
-// advantage in TestTransportBaselineThresholds.
+// dense partition peer-to-peer and installing it, through the
+// production peer codec (an 'R' frame: sequence number, dsm partition
+// layout, CRC32C trailer) and through the two frozen paths it replaced
+// (legacy_transport.go), all over in-memory pipes with the client's
+// bytes counted (so bytes include all framing). The gates in
+// TestTransportBaselineThresholds hold the raw path to >= 5x fewer
+// allocations than gob and >= 0.95x raw-nocrc's throughput, both in the
+// committed BENCH_transport.json and in a live same-run measurement.
 
 type transportRow struct {
 	Path              string  `json:"path"`
@@ -35,11 +37,18 @@ type transportBaseline struct {
 	Rows        []transportRow `json:"rows"`
 }
 
+// rotationPath is one way of shipping a rotated partition.
+type rotationPath interface {
+	RoundTrip(p *dsm.Partition) error
+	BytesSent() int64
+	Close()
+}
+
 // measureTransport round-trips a rank x width dense partition through
-// both rotation encodings.
+// the gob, raw and raw-nocrc paths, round-robin through benchEach.
 func measureTransport(rank, width int64) (*transportBaseline, error) {
 	out := &transportBaseline{
-		Description: "rotation transport: one dense partition shipped peer-to-peer and installed — per-message gob partition blobs, the hardened raw codec (CRC32C trailer + frame sequencing, wide staging), and raw-nocrc, a faithful reproduction of the pre-hardening raw path (no integrity layer, original 512-element staging); bytes include tag, framing, and trailer overhead",
+		Description: "rotation transport: one dense partition shipped peer-to-peer and installed — gob, a frozen copy of the old per-message gob partition blobs; raw, the shipped codec (an 'R' frame carrying the dsm partition layout with frame sequencing and a CRC32C trailer, wide staging); and raw-nocrc, a frozen copy of the pre-hardening raw frame (no integrity layer, original 512-element staging); bytes include tag, framing, and trailer overhead",
 		Rank:        rank,
 		Width:       width,
 	}
@@ -47,55 +56,43 @@ func measureTransport(rank, width int64) (*transportBaseline, error) {
 	a.Map(func(float64) float64 { return 0.25 })
 	p := a.ExtractRange(1, 0, width)
 
-	// plain selects the pre-hardening codec: no sequence numbers, no
-	// CRC32C trailer, and the original narrow staging chunks — the raw
-	// path exactly as it shipped before the integrity layer, so the
-	// baseline prices hardened-vs-unhardened as a same-run comparison.
-	variants := []struct {
-		name  string
-		gob   bool
-		plain bool
-	}{
-		{"gob", true, false},
-		{"raw", false, false},
-		{"raw-nocrc", false, true},
-	}
-	for _, v := range variants {
-		rb := runtime.NewRotationBench()
-		if v.plain {
-			rb = runtime.NewRotationBenchPlain()
+	names := []string{"gob", "raw", "raw-nocrc"}
+	paths := []rotationPath{newLegacyRotation(false), runtime.NewRotationBench(), newLegacyRotation(true)}
+	defer func() {
+		for _, rp := range paths {
+			rp.Close()
 		}
-		var ack runtime.Msg
+	}()
+	benches := make([]func(b *testing.B), len(paths))
+	ops := make([]int64, len(paths))
+	before := make([]int64, len(paths))
+	for i, rp := range paths {
 		// Warm the codec and pools out of the measured region.
-		for i := 0; i < 3; i++ {
-			if err := rb.RoundTrip("W", p, v.gob, &ack); err != nil {
-				rb.Close()
+		for k := 0; k < 3; k++ {
+			if err := rp.RoundTrip(p); err != nil {
 				return nil, err
 			}
 		}
-		before := rb.BytesSent()
-		var ops int64
-		ns, allocs := benchNs(func(b *testing.B) {
+		before[i] = rp.BytesSent()
+		benches[i] = func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := rb.RoundTrip("W", p, v.gob, &ack); err != nil {
+			for k := 0; k < b.N; k++ {
+				if err := rp.RoundTrip(p); err != nil {
 					b.Fatal(err)
 				}
 			}
-			ops += int64(b.N)
-		})
-		bytesPer := int64(0)
-		if ops > 0 {
-			bytesPer = (rb.BytesSent() - before) / ops
+			ops[i] += int64(b.N)
 		}
-		rb.Close()
-		name := v.name
+	}
+	ns, allocs := benchEach(benches...)
+	for i, rp := range paths {
+		bytesPer := (rp.BytesSent() - before[i]) / ops[i]
 		out.Rows = append(out.Rows, transportRow{
-			Path:              name,
-			NsPerRotation:     round1(ns),
-			AllocsPerRotation: allocs,
+			Path:              names[i],
+			NsPerRotation:     round1(ns[i]),
+			AllocsPerRotation: allocs[i],
 			BytesPerRotation:  bytesPer,
-			MBPerSec:          math.Round(float64(bytesPer)/ns*1e9/1e6*10) / 10,
+			MBPerSec:          math.Round(float64(bytesPer)/ns[i]*1e9/1e6*10) / 10,
 		})
 	}
 	return out, nil

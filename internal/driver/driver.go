@@ -511,43 +511,6 @@ func (s *Session) Close() {
 	}
 }
 
-// Checkpoint writes the named DistArrays (all of the session's arrays
-// when names is empty) to dir — the paper's per-N-passes fault
-// tolerance pattern.
-func (s *Session) Checkpoint(dir string, names ...string) error {
-	if len(names) == 0 {
-		for name := range s.arrays {
-			names = append(names, name)
-		}
-	}
-	arrs := make([]*dsm.DistArray, 0, len(names))
-	for _, name := range names {
-		a, ok := s.arrays[name]
-		if !ok {
-			return fmt.Errorf("driver: checkpoint of unknown array %q", name)
-		}
-		arrs = append(arrs, a)
-	}
-	return dsm.CheckpointDir(dir, arrs...)
-}
-
-// Restore replaces the session's copies of the named arrays with their
-// checkpoints from dir.
-func (s *Session) Restore(dir string, names ...string) error {
-	restored, err := dsm.RestoreDir(dir, names...)
-	if err != nil {
-		return err
-	}
-	for name, a := range restored {
-		if _, ok := s.arrays[name]; !ok {
-			return fmt.Errorf("driver: restoring undeclared array %q", name)
-		}
-		s.arrays[name] = a
-		s.env.Arrays[name] = a.Dims()
-	}
-	return nil
-}
-
 // CreateArrayFromTextFile declares a DistArray loaded from a text file
 // through a user-defined line parser (Orion.text_file + materialize,
 // Section 3.1). Transformations can be fused by building through

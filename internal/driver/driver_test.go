@@ -224,39 +224,6 @@ func TestDriverErrors(t *testing.T) {
 	}
 }
 
-func TestDriverCheckpointRestore(t *testing.T) {
-	sess := setupMF(t, 2)
-	defer sess.Close()
-	dir := t.TempDir()
-
-	if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
-		t.Fatal(err)
-	}
-	mid := mfLoss(sess)
-	if err := sess.Checkpoint(dir, "W", "H"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Restore(dir, "W", "H"); err != nil {
-		t.Fatal(err)
-	}
-	if got := mfLoss(sess); math.Abs(got-mid) > 1e-9*mid {
-		t.Fatalf("restore did not rewind parameters: %v vs %v", got, mid)
-	}
-	// Training resumes from the checkpoint.
-	if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
-		t.Fatal(err)
-	}
-	if mfLoss(sess) >= mid {
-		t.Fatal("training after restore did not improve")
-	}
-	if err := sess.Checkpoint(dir, "nope"); err == nil {
-		t.Fatal("checkpoint of unknown array must fail")
-	}
-}
-
 func TestDriverMissingGlobalIsCaught(t *testing.T) {
 	sess, err := NewLocalSession(2)
 	if err != nil {

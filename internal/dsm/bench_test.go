@@ -35,11 +35,7 @@ func BenchmarkPartitionEncodeDecode(b *testing.B) {
 	p := a.ExtractRange(1, 0, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blob, err := p.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodePartition(blob); err != nil {
+		if _, err := UnmarshalPartition(MarshalPartition(p)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,8 @@
 // Package dsm implements Orion's distributed shared memory abstraction:
 // Distributed Arrays (Section 3.1), DistArray Buffers (Section 3.3) and
-// Accumulators (Section 3.4), plus partitioning and serialization used
-// by the runtime to place and rotate array partitions (Section 4.4).
+// Accumulators (Section 3.4), plus partitioning and the partition
+// layout (codec.go) the runtime uses to place and rotate array
+// partitions (Section 4.4) and checkpoints write to disk (Section 4.3).
 //
 // A DistArray is an N-dimensional dense or sparse array of float64
 // elements indexed by an N-tuple. Dense storage is laid out so that the
@@ -69,13 +70,22 @@ func newArray(name string, dims []int64) *DistArray {
 			panic(fmt.Sprintf("dsm: non-positive extent %d", d))
 		}
 	}
-	a := &DistArray{name: name, dims: append([]int64(nil), dims...)}
-	a.stride = make([]int64, len(dims))
+	a := &DistArray{}
+	a.setShape(name, dims)
+	return a
+}
+
+// setShape sets the name, extents, and strides; extents and strides
+// share one allocation.
+func (a *DistArray) setShape(name string, dims []int64) {
+	n := len(dims)
+	s := make([]int64, 2*n)
+	copy(s, dims)
+	a.name, a.dims, a.stride = name, s[:n:n], s[n:]
 	a.stride[0] = 1
-	for i := 1; i < len(dims); i++ {
+	for i := 1; i < n; i++ {
 		a.stride[i] = a.stride[i-1] * dims[i-1]
 	}
-	return a
 }
 
 // Name returns the array's name.

@@ -274,30 +274,22 @@ func TestSerializeRoundTrip(t *testing.T) {
 	a := NewSparse("Z", 5, 5)
 	a.SetAt(1.25, 4, 4)
 	a.SetAt(-2, 0, 3)
-	data, err := a.Encode()
+	b, err := UnmarshalPartition(MarshalPartition(a.ExtractRange(0, 0, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DecodeArray(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != "Z" || b.At(4, 4) != 1.25 || b.At(0, 3) != -2 {
-		t.Fatal("array serialization round trip failed")
+	if b.Array != "Z" || b.Local.IsDense() || b.At(4, 4) != 1.25 || b.At(0, 3) != -2 {
+		t.Fatal("sparse partition round trip failed")
 	}
 
 	d := NewDense("W", 2, 3)
 	d.SetAt(9, 1, 2)
 	p := d.ExtractRange(1, 1, 3)
-	pdata, err := p.Encode()
+	p2, err := UnmarshalPartition(MarshalPartition(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := DecodePartition(pdata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Lo != 1 || p2.Hi != 3 || p2.At(1, 2) != 9 {
+	if p2.Lo != 1 || p2.Hi != 3 || p2.At(1, 2) != 9 || !p2.Local.IsDense() {
 		t.Fatal("partition serialization round trip failed")
 	}
 }
@@ -554,10 +546,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	a.SetAt(1.5, 2, 3)
 	b := NewSparse("Z", 10, 10)
 	b.SetAt(-2, 9, 0)
-	if err := CheckpointDir(dir, a, b); err != nil {
+	man := &Manifest{Clock: 1}
+	if _, err := WriteCheckpoint(dir, man, []*DistArray{a, b}, 0); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreDir(dir, "W", "Z")
+	restored, err := RestoreCheckpoint(dir, man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +560,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !restored["W"].IsDense() || restored["Z"].IsDense() {
 		t.Fatal("density not preserved")
 	}
-	if _, err := RestoreDir(dir, "missing"); err == nil {
+	if _, err := RestoreCheckpoint(dir, &Manifest{Clock: 1, Arrays: []string{"missing"}}); err == nil {
 		t.Fatal("restoring a missing checkpoint must fail")
 	}
 }

@@ -1,16 +1,21 @@
 package dsm
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// ManifestVersion is the on-disk checkpoint manifest format version.
-const ManifestVersion = 1
+// ManifestVersion is the on-disk checkpoint format version. Version 2
+// shards are partition layouts with a CRC32C trailer; version 1 shards
+// (gob, unchecksummed) are not read.
+const ManifestVersion = 2
 
 // DefaultKeep is how many committed checkpoints a directory retains
 // when the writer does not say otherwise.
@@ -78,16 +83,12 @@ func WriteCheckpoint(dir string, man *Manifest, arrays []*DistArray, keep int) (
 	}
 	var bytes int64
 	for _, a := range arrays {
-		data, err := a.Encode()
+		n, err := writeShard(filepath.Join(tmp, a.Name()+".ckpt"), a)
 		if err != nil {
 			os.RemoveAll(tmp)
 			return 0, fmt.Errorf("dsm: checkpoint %s: %w", a.Name(), err)
 		}
-		if err := writeFileSync(filepath.Join(tmp, a.Name()+".ckpt"), data); err != nil {
-			os.RemoveAll(tmp)
-			return 0, fmt.Errorf("dsm: checkpoint %s: %w", a.Name(), err)
-		}
-		bytes += int64(len(data))
+		bytes += n
 	}
 	mdata, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -121,7 +122,8 @@ func WriteCheckpoint(dir string, man *Manifest, arrays []*DistArray, keep int) (
 // ListCheckpoints returns the committed checkpoint manifests under
 // dir, newest (highest clock) first, sweeping stale *.tmp staging
 // directories and manifest-less checkpoint directories left by
-// crashed writers. A missing dir is an empty list.
+// crashed writers. Checkpoints of another format version are skipped
+// and left on disk. A missing dir is an empty list.
 func ListCheckpoints(dir string) ([]*Manifest, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -142,6 +144,11 @@ func ListCheckpoints(dir string) ([]*Manifest, error) {
 			continue
 		}
 		man, err := readManifest(filepath.Join(dir, name))
+		if errors.Is(err, errOtherVersion) {
+			// Committed by another format version: not ours to read,
+			// and not debris either.
+			continue
+		}
 		if err != nil {
 			// No (or unreadable) manifest — the rename never happened or
 			// the directory is damaged; it cannot be restored from.
@@ -164,15 +171,16 @@ func LatestManifest(dir string) (*Manifest, error) {
 	return all[0], nil
 }
 
-// RestoreCheckpoint loads the arrays of one committed checkpoint.
-// Arrays that fail to load are collected into a *RestoreError naming
-// each failure.
+// RestoreCheckpoint loads the arrays of one committed checkpoint,
+// verifying each shard's checksum and layout. Arrays that fail to load
+// (missing, truncated, corrupt) are collected into a *RestoreError
+// naming each failure.
 func RestoreCheckpoint(dir string, man *Manifest) (map[string]*DistArray, error) {
 	cdir := filepath.Join(dir, ckptDirName(man.Clock))
 	out := make(map[string]*DistArray, len(man.Arrays))
 	rerr := &RestoreError{Dir: cdir}
 	for _, name := range man.Arrays {
-		a, err := ReadFile(filepath.Join(cdir, name+".ckpt"))
+		a, err := readShard(filepath.Join(cdir, name+".ckpt"), name)
 		if err != nil {
 			rerr.add(name, err)
 			continue
@@ -218,6 +226,8 @@ func (e *RestoreError) Unwrap() error {
 	return e.Errs[e.Failed[0]]
 }
 
+var errOtherVersion = errors.New("other checkpoint format version")
+
 func readManifest(cdir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(cdir, manifestFile))
 	if err != nil {
@@ -228,7 +238,7 @@ func readManifest(cdir string) (*Manifest, error) {
 		return nil, fmt.Errorf("dsm: manifest in %s: %w", cdir, err)
 	}
 	if man.Version != ManifestVersion {
-		return nil, fmt.Errorf("dsm: manifest in %s: version %d (want %d)", cdir, man.Version, ManifestVersion)
+		return nil, fmt.Errorf("dsm: manifest in %s: version %d (want %d): %w", cdir, man.Version, ManifestVersion, errOtherVersion)
 	}
 	return &man, nil
 }
@@ -246,23 +256,60 @@ func pruneCheckpoints(dir string, keep int) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// A checkpoint shard file holds one array: its partition layout (the
+// whole array as one partition along dim 0) followed by a CRC32C
+// trailer over the layout, little-endian.
+const shardTrailerLen = 4
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// writeShard writes a's shard file, fsynced, and returns its size.
+func writeShard(path string, a *DistArray) (int64, error) {
+	data := MarshalPartition(&Partition{Array: a.name, Hi: a.dims[0], Local: a})
+	var tr [shardTrailerLen]byte
+	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(data, castagnoli))
+	return int64(len(data) + shardTrailerLen), writeFileSync(path, data, tr[:])
 }
 
-// writeFileSync writes data and fsyncs before closing, so a committed
-// rename can never publish a file whose contents are still in flight.
-func writeFileSync(path string, data []byte) error {
+// readShard loads the array named name from its shard file, rejecting
+// a checksum mismatch, a malformed layout, or a shard that is not the
+// whole of that array.
+func readShard(path, name string) (*DistArray, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) < shardTrailerLen {
+		return nil, fmt.Errorf("dsm: shard %s truncated to %d bytes", path, len(data))
+	}
+	body := data[:len(data)-shardTrailerLen]
+	if got, want := binary.LittleEndian.Uint32(data[len(body):]), crc32.Checksum(body, castagnoli); got != want {
+		return nil, fmt.Errorf("dsm: shard %s checksum mismatch (file %08x, computed %08x)", path, got, want)
+	}
+	p, err := UnmarshalPartition(body)
+	if err != nil {
+		return nil, fmt.Errorf("dsm: shard %s: %w", path, err)
+	}
+	if p.Array != name || p.Dim != 0 || p.Lo != 0 || p.Hi != p.Local.dims[0] {
+		return nil, fmt.Errorf("dsm: shard %s holds %q [%d,%d) along dim %d, not the whole of %q",
+			path, p.Array, p.Lo, p.Hi, p.Dim, name)
+	}
+	return p.Local, nil
+}
+
+// writeFileSync writes the chunks in order and fsyncs before closing,
+// so a committed rename can never publish a file whose contents are
+// still in flight.
+func writeFileSync(path string, chunks ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, data := range chunks {
+		if _, err := f.Write(data); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -151,7 +152,8 @@ func TestManifestVersionMismatchIgnored(t *testing.T) {
 	writeTestCheckpoint(t, dir, 2, 0)
 	cdir := filepath.Join(dir, ckptDirName(2))
 	// Rewrite the manifest with a future version: the checkpoint becomes
-	// unusable and is dropped from the listing.
+	// unusable and is dropped from the listing, but it is not debris —
+	// it stays on disk for the binary that wrote it.
 	if err := os.WriteFile(filepath.Join(cdir, manifestFile),
 		[]byte(`{"version": 99, "clock": 2}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -163,38 +165,61 @@ func TestManifestVersionMismatchIgnored(t *testing.T) {
 	if len(mans) != 0 {
 		t.Fatalf("future-version checkpoint listed: %+v", mans)
 	}
+	if _, err := os.Stat(filepath.Join(cdir, manifestFile)); err != nil {
+		t.Fatalf("future-version checkpoint deleted by listing: %v", err)
+	}
 }
 
-func TestRestoreDirSweepsTmpAndCollectsFailures(t *testing.T) {
+// TestCheckpointShardIntegrity: a committed shard with one flipped bit
+// in a float, or cut short, fails restore with a *RestoreError naming
+// that array instead of restoring wrong values; and a sparse array
+// checkpointed twice writes byte-identical shards.
+func TestCheckpointShardIntegrity(t *testing.T) {
+	for _, damage := range []string{"bit flip", "truncate"} {
+		dir := t.TempDir()
+		man := writeTestCheckpoint(t, dir, 4, 0)
+		shard := filepath.Join(dir, ckptDirName(4), "W.ckpt")
+		data, err := os.ReadFile(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if damage == "bit flip" {
+			// W[1,2] is the last of W's six dense floats: flip a
+			// mantissa bit just ahead of the trailer.
+			data[len(data)-shardTrailerLen-3] ^= 0x04
+		} else {
+			data = data[:len(data)-11]
+		}
+		if err := os.WriteFile(shard, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := RestoreCheckpoint(dir, man)
+		var rerr *RestoreError
+		if !errors.As(err, &rerr) {
+			t.Fatalf("%s: restore returned %v, %v; want *RestoreError", damage, got, err)
+		}
+		if len(rerr.Failed) != 1 || rerr.Failed[0] != "W" || rerr.Errs["W"] == nil {
+			t.Fatalf("%s: failures = %+v, want exactly W", damage, rerr)
+		}
+	}
+
+	s := NewSparse("S", 8, 8)
+	for i := int64(0); i < 50; i++ {
+		s.SetAt(float64(i)-20.5, i%8, (i*3)%8)
+	}
 	dir := t.TempDir()
-	w := NewDense("W", 2)
-	w.SetAt(4, 1)
-	if err := CheckpointDir(dir, w); err != nil {
-		t.Fatal(err)
+	var shards [2][]byte
+	for i := range shards {
+		if _, err := WriteCheckpoint(dir, &Manifest{Clock: int64(i + 1)}, []*DistArray{s}, 0); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, ckptDirName(int64(i+1)), "S.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = data
 	}
-	stale := filepath.Join(dir, "H.ckpt"+tmpSuffix)
-	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Restore of W succeeds and sweeps the stale tmp.
-	got, err := RestoreDir(dir, "W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["W"].At(1) != 4 {
-		t.Fatalf("W = %v", got["W"].At(1))
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale .tmp survived RestoreDir")
-	}
-	// Asking for arrays that were never written yields a typed error
-	// naming each one.
-	_, err = RestoreDir(dir, "W", "H", "Z")
-	var rerr *RestoreError
-	if !errors.As(err, &rerr) {
-		t.Fatalf("err = %v, want *RestoreError", err)
-	}
-	if len(rerr.Failed) != 2 || rerr.Errs["H"] == nil || rerr.Errs["Z"] == nil {
-		t.Fatalf("failures = %+v", rerr)
+	if !bytes.Equal(shards[0], shards[1]) {
+		t.Fatal("the same sparse array checkpointed twice wrote different shard bytes")
 	}
 }

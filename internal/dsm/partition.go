@@ -111,15 +111,6 @@ func (p *Partition) DenseWindow(lo, hi []int64) (data []float64, stride []int64)
 // belongs to this partition.
 func (p *Partition) Contains(c int64) bool { return c >= p.Lo && c < p.Hi }
 
-// Bytes estimates the partition's wire size (8 bytes per element plus
-// 16 bytes per sparse entry for the coordinates).
-func (p *Partition) Bytes() int64 {
-	if p.Local.IsDense() {
-		return int64(p.Local.Len()) * 8
-	}
-	return int64(p.Local.Len()) * 24
-}
-
 // RangePartitions splits the array into parts contiguous ranges along
 // dim using the given boundaries; boundaries[k] is the first coordinate
 // of partition k+1 (len == parts-1). Use sched.Partitioner to compute

@@ -210,46 +210,33 @@ func leak(msg *Msg) []int64 {
 	}
 }
 
-// TestMsgRetainPooledTransportBuffers: raw rotation frames deliver
-// Values in pooled transport buffers and carry the partition shape in
-// PartDims — retaining either past the handler aliases storage the
-// pool (or the next frame) will recycle. The subdirectory package path
-// (runtime/bufpool) is in scope too.
-func TestMsgRetainPooledTransportBuffers(t *testing.T) {
-	src := `package runtime
+// TestMsgRetainRuntimeSubpackage: packages under runtime/ (bufpool,
+// which pools rotation storage) are in scope like runtime itself.
+func TestMsgRetainRuntimeSubpackage(t *testing.T) {
+	src := `package bufpool
 type part struct {
-	dims []int64
 	data []float64
 }
 func adopt(msg *Msg) *part {
 	p := &part{}
-	p.dims = msg.PartDims               // BAD: pooled dims retained
-	p.data = msg.Values                 // BAD: pooled payload retained
-	fwd := Msg{PartDims: msg.PartDims}  // ok: forwarded Msg literal
+	p.data = msg.Values            // BAD: payload retained
+	fwd := Msg{Values: msg.Values} // ok: forwarded Msg literal
 	_ = fwd
-	clone := append([]int64(nil), msg.PartDims...) // ok: cloned
-	_ = clone
 	return p
 }
-func leakDims(msg *Msg) []int64 {
-	return msg.PartDims // BAD: returned
+func leak(msg *Msg) []int64 {
+	return msg.Offsets // BAD: returned
 }
 `
-	p := parsePass(t, "orion/internal/runtime", map[string]string{"a.go": src})
+	p := parsePass(t, "orion/internal/runtime/bufpool", map[string]string{"a.go": src})
 	fs := MsgRetain.Run(p)
-	if len(fs) != 3 {
-		t.Fatalf("want 3 findings, got %v", findingStrings(fs))
+	if len(fs) != 2 {
+		t.Fatalf("runtime/bufpool should be in scope: want 2 findings, got %v", findingStrings(fs))
 	}
 	for _, f := range fs {
 		if !strings.Contains(f.Message, "backing storage") {
 			t.Errorf("finding %q does not explain the retention hazard", f.Message)
 		}
-	}
-
-	// bufpool lives under runtime/ and must self-lint as in-scope.
-	p3 := parsePass(t, "orion/internal/runtime/bufpool", map[string]string{"a.go": src})
-	if fs := MsgRetain.Run(p3); len(fs) != 3 {
-		t.Errorf("runtime/bufpool should be in scope, got %v", findingStrings(fs))
 	}
 }
 

@@ -7,29 +7,24 @@ import (
 
 // MsgRetain flags aliases of runtime message payload slices that
 // outlive the message. runtime.Msg.reset() reuses the backing storage
-// of the hot-path payload slices (Offsets, Values, PartDims) across
-// messages on a connection — and raw rotation frames additionally
-// carry Values in pooled transport buffers (runtime/bufpool) that are
-// recycled once the receiving partition is replaced — so storing one
-// of them — into a struct field, a non-Msg composite literal, or a
-// return value — hands out memory the next message (or the pool) will
-// overwrite. The correct idiom is an explicit clone:
+// of the hot-path payload slices (Offsets, Values) across messages on
+// a connection, so storing one of them — into a struct field, a
+// non-Msg composite literal, or a return value — hands out memory the
+// next message will overwrite. The correct idiom is an explicit clone:
 //
 //	saved.offs = append([]int64(nil), msg.Offsets...)
 //
-// or, for pooled rotation payloads, an explicit ownership transfer
-// that nils the source field (see servePeer's rotation handling).
 // Transient uses stay allowed: element reads (msg.Values[i]), len/cap,
 // range, passing the slice to a call, and building a response Msg
 // literal (encoded and sent before the received message is reused).
 var MsgRetain = &Analyzer{
 	Name: "msgretain",
-	Doc:  "runtime Msg payload slices (Offsets/Values/PartDims, incl. pooled transport buffers) must not be retained past the handler",
+	Doc:  "runtime Msg payload slices (Offsets/Values) must not be retained past the handler",
 	Run:  runMsgRetain,
 }
 
 // payloadSel reports whether e is exactly a payload-slice selector
-// (<recv>.Offsets, <recv>.Values, or <recv>.PartDims), unwrapping
+// (<recv>.Offsets or <recv>.Values), unwrapping
 // parentheses.
 func payloadSel(e ast.Expr) (string, bool) {
 	for {
@@ -43,7 +38,7 @@ func payloadSel(e ast.Expr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if sel.Sel.Name != "Offsets" && sel.Sel.Name != "Values" && sel.Sel.Name != "PartDims" {
+	if sel.Sel.Name != "Offsets" && sel.Sel.Name != "Values" {
 		return "", false
 	}
 	if x, ok := sel.X.(*ast.Ident); ok {

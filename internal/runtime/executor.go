@@ -85,7 +85,6 @@ type Executor struct {
 	mRotWait  *obs.Histogram
 	mRotBytes *obs.Counter
 	mRotRaw   *obs.Counter
-	mRotGob   *obs.Counter
 	mPrefHit  *obs.Counter
 	mPrefMiss *obs.Counter
 
@@ -120,7 +119,6 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		mRotWait:      obs.GetHistogram("rotation.wait.ns"),
 		mRotBytes:     obs.GetCounter("rotation.bytes.sent"),
 		mRotRaw:       obs.GetCounter("rotation.frames.raw"),
-		mRotGob:       obs.GetCounter("rotation.frames.gob"),
 		mPrefHit:      obs.GetCounter("prefetch.hit"),
 		mPrefMiss:     obs.GetCounter("prefetch.miss"),
 	}
@@ -298,7 +296,7 @@ func (e *Executor) run() error {
 		}
 		switch msg.Kind {
 		case MsgArrayPart:
-			p, err := dsm.DecodePartition(msg.PartBlob)
+			p, err := dsm.UnmarshalPartition(msg.PartBlob)
 			if err != nil {
 				return err
 			}
@@ -308,7 +306,7 @@ func (e *Executor) run() error {
 		case MsgIterPart:
 			e.samples = msg.Samples
 		case MsgServedShard:
-			p, err := dsm.DecodePartition(msg.PartBlob)
+			p, err := dsm.UnmarshalPartition(msg.PartBlob)
 			if err != nil {
 				return err
 			}
@@ -353,10 +351,7 @@ func (e *Executor) run() error {
 			if p == nil {
 				return fmt.Errorf("runtime: executor %d: gather of unknown array %q", e.id, msg.Array)
 			}
-			blob, err := p.Encode()
-			if err != nil {
-				return err
-			}
+			blob := dsm.MarshalPartition(p)
 			if err := e.master.send(&Msg{Kind: MsgGatherResp, ExecutorID: e.id, Array: msg.Array, PartBlob: blob}); err != nil {
 				return err
 			}
@@ -437,21 +432,12 @@ func (e *Executor) servePeer(c *codec) {
 		case MsgRotate:
 			feedsRotation = true
 			// The rotation pipeline retains the message beyond this
-			// loop iteration — hand it a detached copy. For raw frames
-			// the pooled payload's ownership transfers with it (the
-			// main loop returns the storage to bufpool on fold); either
-			// way the transferred fields are dropped from the reused
-			// receive Msg.
-			var fwd *Msg
-			if in.Raw {
-				fwd = &Msg{Kind: MsgRotate, Raw: true, Array: in.Array,
-					PartDim: in.PartDim, PartLo: in.PartLo, PartHi: in.PartHi,
-					PartDims: append([]int64(nil), in.PartDims...), Values: in.Values}
-				in.Values = nil
-			} else {
-				fwd = &Msg{Kind: MsgRotate, Array: in.Array, PartBlob: in.PartBlob}
-				in.PartBlob = nil
-			}
+			// loop iteration — hand it a detached copy. The decoded
+			// partition's ownership (pooled dense storage included: the
+			// main loop returns it to bufpool on fold) transfers with
+			// it and is dropped from the reused receive Msg.
+			fwd := &Msg{Kind: MsgRotate, Array: in.Array, part: in.part}
+			in.part = nil
 			select {
 			case e.rotateCh <- fwd:
 			case <-e.stop:
@@ -632,16 +618,12 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		sendStart := time.Now()
 		for _, a := range names {
 			p := e.parts[a]
-			wire, err := e.sendTo.sendRotation(a, p)
+			wire, err := e.sendTo.sendRotation(p)
 			if err != nil {
 				return fmt.Errorf("runtime: executor %d: rotation send failed (%v): %w", e.id, err, ErrWorkerLost)
 			}
 			e.mRotBytes.Add(wire)
-			if p.Local.IsDense() {
-				e.mRotRaw.Inc()
-			} else {
-				e.mRotGob.Inc()
-			}
+			e.mRotRaw.Inc()
 		}
 		commNs += int64(time.Since(sendStart))
 		e.trace.EndN("rotate.send", "exec", sendStart, "arrays", int64(len(names)))
@@ -655,9 +637,11 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 			case <-e.stop:
 				return e.lostErr()
 			}
-			p, err := partitionFromMsg(in)
-			if err != nil {
-				return err
+			p := in.part
+			if p == nil {
+				// Only an 'R' frame decodes a partition; a gob-framed
+				// MsgRotate is a protocol violation.
+				return fmt.Errorf("runtime: executor %d: rotation of %q carried no partition", e.id, in.Array)
 			}
 			// Fold: the replaced partition's pooled dense storage (its
 			// contents were already shipped to the ring neighbor) goes
@@ -668,7 +652,7 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 				}
 			}
 			e.parts[in.Array] = p
-			e.pooledParts[in.Array] = in.Raw
+			e.pooledParts[in.Array] = p.Local.IsDense()
 		}
 		if len(names) > 0 {
 			rotWaitNs = int64(time.Since(waitStart))
@@ -691,18 +675,6 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		StatRotWaitNs: rotWaitNs,
 		StatCommNs:    commNs,
 	})
-}
-
-// partitionFromMsg materializes a rotated partition from a rotation
-// message: raw frames adopt their pooled dense payload directly (zero
-// copy), gob messages decode the legacy blob.
-func partitionFromMsg(in *Msg) (*dsm.Partition, error) {
-	if !in.Raw {
-		return dsm.DecodePartition(in.PartBlob)
-	}
-	dims := append([]int64(nil), in.PartDims...)
-	local := dsm.NewDenseFrom(in.Array, in.Values, dims...)
-	return &dsm.Partition{Array: in.Array, Dim: in.PartDim, Lo: in.PartLo, Hi: in.PartHi, Local: local}, nil
 }
 
 // runBlock executes a batched kernel over the whole block in one call.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"orion/internal/dsm"
-	"orion/internal/runtime/bufpool"
 )
 
 // recordConn captures every underlying write as one frame: the codec
@@ -62,7 +61,7 @@ func captureFrames(fn func(c *codec)) [][]byte {
 
 // decodeStream replays a byte stream through a fresh codec and returns
 // the first decode error (nil if every frame decoded cleanly). Pooled
-// raw payloads are returned to the pool as they arrive.
+// rotation storage is returned to the pool as it arrives.
 func decodeStream(stream []byte, frames int) error {
 	c := newCodec(&replayConn{r: bytes.NewReader(stream)})
 	var m Msg
@@ -70,25 +69,27 @@ func decodeStream(stream []byte, frames int) error {
 		if err := c.recvInto(&m); err != nil {
 			return err
 		}
-		if m.Raw && m.Values != nil {
-			bufpool.PutF64(m.Values)
-			m.Values = nil
-		}
+		releasePart(&m)
 	}
 	return nil
 }
 
-func rotationFrame(t *testing.T) []byte {
+// rotationFrame is the 'R' frame of a 6x32 array "w", dense or with
+// every other element stored sparse.
+func rotationFrame(t *testing.T, sparse bool) []byte {
 	t.Helper()
-	a := dsm.NewDense("w", 6, 32)
+	a, step := dsm.NewDense("w", 6, 32), int64(1)
+	if sparse {
+		a, step = dsm.NewSparse("w", 6, 32), 2
+	}
 	for i := int64(0); i < 6; i++ {
-		for j := int64(0); j < 32; j++ {
+		for j := int64(0); j < 32; j += step {
 			a.SetAt(float64(i*32+j)+0.5, i, j)
 		}
 	}
 	p := a.ExtractRange(1, 0, 32)
 	frames := captureFrames(func(c *codec) {
-		if _, err := c.sendRotation("w", p); err != nil {
+		if _, err := c.sendRotation(p); err != nil {
 			t.Error(err)
 		}
 	})
@@ -99,21 +100,29 @@ func rotationFrame(t *testing.T) []byte {
 }
 
 // TestFrameChecksumRejectsCorruptRawRotation: any single flipped bit in
-// a raw rotation frame — header or payload — must surface as a typed
-// *FrameCorruptError, never as a decoded partition.
+// a rotation frame, dense or sparse — header or payload, offsets or
+// values — must surface as a typed *FrameCorruptError, never as a
+// decoded partition.
 func TestFrameChecksumRejectsCorruptRawRotation(t *testing.T) {
-	frame := rotationFrame(t)
-	// Payload region: safely past the ~15-byte header of array "w".
-	for _, bit := range []int{8 * 32, 8 * 100, len(frame)*8 - 12} {
-		mut := append([]byte(nil), frame...)
-		mut[bit/8] ^= 1 << uint(bit%8)
-		err := decodeStream(mut, 1)
-		var fc *FrameCorruptError
-		if !errors.As(err, &fc) {
-			t.Fatalf("bit %d flipped: err = %v, want *FrameCorruptError", bit, err)
+	for _, sparse := range []bool{false, true} {
+		frame := rotationFrame(t, sparse)
+		if err := decodeStream(frame, 1); err != nil {
+			t.Fatalf("sparse=%v: intact frame rejected: %v", sparse, err)
 		}
-		if !errors.Is(err, ErrWorkerLost) {
-			t.Fatalf("bit %d flipped: corruption does not unwrap to ErrWorkerLost", bit)
+		// Header bits, then payload bits safely past the ~15-byte header
+		// of array "w" (in the sparse frame, 8*32 is inside an offset
+		// word and 8*100 inside a value), then the trailer.
+		for _, bit := range []int{8*4 + 1, 8 * 32, 8 * 100, len(frame)*8 - 12} {
+			mut := append([]byte(nil), frame...)
+			mut[bit/8] ^= 1 << uint(bit%8)
+			err := decodeStream(mut, 1)
+			var fc *FrameCorruptError
+			if !errors.As(err, &fc) {
+				t.Fatalf("sparse=%v, bit %d flipped: err = %v, want *FrameCorruptError", sparse, bit, err)
+			}
+			if !errors.Is(err, ErrWorkerLost) {
+				t.Fatalf("sparse=%v, bit %d flipped: corruption does not unwrap to ErrWorkerLost", sparse, bit)
+			}
 		}
 	}
 }
@@ -143,7 +152,7 @@ func TestFrameChecksumRejectsCorruptGobFrame(t *testing.T) {
 // of a valid frame passes the CRC but carries a consumed sequence
 // number — the codec must condemn the link, not process it twice.
 func TestFrameSequenceRejectsDuplicatedFrame(t *testing.T) {
-	frame := rotationFrame(t)
+	frame := rotationFrame(t, false)
 	stream := append(append([]byte(nil), frame...), frame...)
 	err := decodeStream(stream, 2)
 	var fc *FrameCorruptError
@@ -189,11 +198,11 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 		"unknown tag": {0x7a, 0, 0, 0},
 		"name length": uv(uv([]byte{tagRaw}, 0), 1<<20),
 		"rank": uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
-			0), 0), 32), maxRawDims+1), 1),
+			0), 0), 32), dsm.MaxRank+1), 1),
 		"extent overflow": uv(uv(uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
-			0), 0), 32), 2), 1<<35), 1<<35), 1),
-		"element count": uv(uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
-			0), 0), 32), 1), 1<<33), 1<<33),
+			0), 0), 32), 3), 32), 1<<35), 1<<35),
+		"element count": uv(append(uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
+			0), 0), 1<<33), 1), 1<<33), 0), 1<<33),
 		"gob length":       uv(uv([]byte{tagGob}, 0), maxGobFrameLen+1),
 		"malformed varint": append([]byte{tagGob}, bytes.Repeat([]byte{0x80}, 11)...),
 	}
@@ -287,22 +296,22 @@ func TestServeUpdateDuplicateDeliveryIdempotent(t *testing.T) {
 // byte streams: it must return an error or a valid message — never
 // panic, never hang, never allocate at a forged header's claimed size.
 func FuzzDecodeFrame(f *testing.F) {
-	rot := func() []byte {
-		a := dsm.NewDense("w", 4, 16)
-		p := a.ExtractRange(1, 0, 16)
-		frames := captureFrames(func(c *codec) { c.sendRotation("w", p) })
-		return frames[0]
-	}()
-	gob := func() []byte {
-		frames := captureFrames(func(c *codec) {
-			c.send(&Msg{Kind: MsgBlockDone, ExecutorID: 1, Array: "w", Offsets: []int64{1, 2}, Values: []float64{3, 4}})
-		})
-		return frames[0]
-	}()
-	f.Add(rot)
-	f.Add(gob)
-	f.Add(append(append([]byte(nil), gob...), rot...))
-	corrupt := append([]byte(nil), rot...)
+	dense := dsm.NewDense("w", 4, 16)
+	dense.SetAt(1.5, 3, 2)
+	sparse := dsm.NewSparse("s", 4, 16)
+	sparse.SetAt(-2, 1, 9)
+	sparse.SetAt(7, 3, 15)
+	frames := captureFrames(func(c *codec) {
+		c.sendRotation(dense.ExtractRange(1, 0, 16))
+		c.sendRotation(sparse.ExtractRange(1, 4, 12))
+		c.send(&Msg{Kind: MsgBlockDone, ExecutorID: 1, Array: "w", Offsets: []int64{1, 2}, Values: []float64{3, 4}})
+		c.send(&Msg{Kind: MsgArrayPart, Array: "w", PartBlob: dsm.MarshalPartition(dense.ExtractRange(0, 1, 3))})
+	})
+	for _, fr := range frames {
+		f.Add(fr)
+	}
+	f.Add(bytes.Join(frames, nil))
+	corrupt := append([]byte(nil), frames[1]...)
 	corrupt[len(corrupt)/2] ^= 1
 	f.Add(corrupt)
 	f.Add(uv(uv([]byte{tagRaw}, 0), 1<<20))
@@ -319,10 +328,10 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err := c.recvInto(&m); err != nil {
 				break
 			}
-			if m.Raw && m.Values != nil {
-				bufpool.PutF64(m.Values)
-				m.Values = nil
+			if m.PartBlob != nil {
+				dsm.UnmarshalPartition(m.PartBlob)
 			}
+			releasePart(&m)
 		}
 	})
 }

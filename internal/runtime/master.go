@@ -328,10 +328,7 @@ func (m *Master) broadcastParts(array string, parts []*dsm.Partition, rotated bo
 		return fmt.Errorf("runtime: %d partitions for %d executors", len(parts), m.n)
 	}
 	for id, p := range parts {
-		blob, err := p.Encode()
-		if err != nil {
-			return err
-		}
+		blob := dsm.MarshalPartition(p)
 		if err := m.conns[id].send(&Msg{Kind: MsgArrayPart, Array: array, PartBlob: blob, Rotated: rotated}); err != nil {
 			return err
 		}
@@ -695,7 +692,7 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	for i := 0; i < m.n; i++ {
 		select {
 		case msg := <-m.ch.gatherResp:
-			p, err := dsm.DecodePartition(msg.PartBlob)
+			p, err := dsm.UnmarshalPartition(msg.PartBlob)
 			if err != nil {
 				return nil, err
 			}
@@ -796,14 +793,10 @@ func (m *Master) DistributeServed(a *dsm.DistArray) error {
 	}
 	parts := a.RangePartitions(lastDim, m.n, boundaries)
 	for id, p := range parts {
-		blob, err := p.Encode()
-		if err != nil {
-			return err
-		}
 		msg := &Msg{
 			Kind:      MsgServedShard,
 			Array:     a.Name(),
-			PartBlob:  blob,
+			PartBlob:  dsm.MarshalPartition(p),
 			Offsets:   boundaries,
 			ArrayDims: map[string][]int64{a.Name(): a.Dims()},
 		}

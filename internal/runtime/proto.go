@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -100,24 +99,17 @@ type Msg struct {
 	NumExecs    int
 	HeartbeatMs int
 
-	// Array payloads: a gob-encoded dsm.Partition (partition blob) or
-	// raw samples.
+	// Array payloads: a partition in the dsm partition layout
+	// (dsm.MarshalPartition) or raw samples.
 	Array    string
 	PartBlob []byte
 	Samples  []IterSample
 	Rotated  bool
 	Ordered  bool
-	// Raw marks a rotation decoded from a length-prefixed raw frame
-	// (dense partitions only): the partition range arrives in
-	// PartDim/PartLo/PartHi/PartDims and the dense payload in Values,
-	// whose backing storage comes from bufpool — whoever installs the
-	// partition owns returning it. PartDims is pooled across messages
-	// like Offsets/Values.
-	Raw       bool
-	PartDim   int
-	PartLo    int64
-	PartHi    int64
-	PartDims  []int64
+	// part is the partition a rotation frame decoded (MsgRotate only;
+	// gob never sees unexported fields). Dense storage comes from
+	// bufpool: whoever installs the partition owns returning it.
+	part      *dsm.Partition
 	LoopName  string
 	TimeLo    int64
 	TimeHi    int64
@@ -186,15 +178,14 @@ type Msg struct {
 }
 
 // reset clears a Msg for reuse while keeping the backing storage of the
-// hot-path payload slices (Offsets/Values/PartDims), so a long-lived
+// hot-path payload slices (Offsets/Values), so a long-lived
 // serving loop can decode into the same Msg without reallocating per
 // message. Explicit zeroing matters: gob leaves fields absent from the
 // wire unchanged on decode.
 func (m *Msg) reset() {
 	offsets := m.Offsets[:0]
 	values := m.Values[:0]
-	dims := m.PartDims[:0]
-	*m = Msg{Offsets: offsets, Values: values, PartDims: dims}
+	*m = Msg{Offsets: offsets, Values: values}
 }
 
 // IterSample is one iteration-space element shipped to an executor.
@@ -204,13 +195,14 @@ type IterSample struct {
 }
 
 // Frame tags: every message on a codec stream is one tag byte followed
-// by its body. 'G' frames carry a gob-encoded Msg; 'R' frames carry a
-// length-prefixed raw rotation payload (dense partition storage written
-// directly, no intermediate blob). Both frames end in a CRC32C trailer
-// over everything after the tag byte, and both carry a per-direction
-// sequence number inside the checksummed region — the checksum catches
-// flipped or truncated bytes, the sequence number catches duplicated or
-// reordered frames that are individually intact.
+// by its body. 'G' frames carry a length-prefixed gob-encoded Msg; 'R'
+// frames carry one rotated partition (dense or sparse) in the dsm
+// partition layout, decoded straight into pooled partition storage
+// with no intermediate blob. Both frames carry a per-direction sequence
+// number right after the tag and end in a CRC32C trailer over
+// everything after the tag byte — the checksum catches flipped or
+// truncated bytes, the sequence number catches duplicated or reordered
+// frames that are individually intact.
 const (
 	tagGob = 'G'
 	tagRaw = 'R'
@@ -218,7 +210,8 @@ const (
 
 // Frame integrity bounds. A decoder trusts nothing it has not verified:
 // uvarint header fields are capped before any allocation or blocking
-// read sized by them, and the payload element cap is keyed to the fleet
+// read sized by them (the partition layout's own bounds are checked by
+// dsm's decoder), and the payload element cap is keyed to the fleet
 // configuration (raised to the largest declared array when a loop is
 // defined) rather than a blanket "anything under 16 GiB".
 const (
@@ -227,10 +220,6 @@ const (
 	// maxGobFrameLen caps a gob frame's body ('G' frames carry control
 	// messages and partition blobs, never larger than an array).
 	maxGobFrameLen = 1 << 30
-	// maxRawNameLen caps the array-name field of a raw rotation frame.
-	maxRawNameLen = 4096
-	// maxRawDims caps the rank of a raw rotation frame.
-	maxRawDims = 16
 	// defaultRawElemCap bounds raw payloads before any loop has been
 	// defined (handshakes, benches); DefineLoop raises the live cap to
 	// the largest declared array.
@@ -318,37 +307,6 @@ func (e *FrameCorruptError) Error() string {
 // Unwrap folds frame corruption into the worker-loss recovery path.
 func (e *FrameCorruptError) Unwrap() error { return ErrWorkerLost }
 
-// errMalformedVarint marks a uvarint that overflows 64 bits — corrupt
-// framing, not an I/O failure.
-var errMalformedVarint = errors.New("malformed uvarint")
-
-// readUvarintRaw decodes one uvarint from r while appending the exact
-// wire bytes to *raw, so the caller can checksum what was actually read
-// (re-encoding would silently accept non-canonical forms).
-func readUvarintRaw(r io.ByteReader, raw *[]byte) (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		*raw = append(*raw, b)
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, errMalformedVarint
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, errMalformedVarint
-}
-
 // codec wraps a connection with tag-framed, checksummed gob
 // encode/decode and a write lock so multiple goroutines may send on the
 // same connection. stats, when set, counts messages per peer (atomic
@@ -362,10 +320,6 @@ type codec struct {
 	wmu   sync.Mutex
 	stats *obs.PeerStats
 	label string
-	// plain disables the integrity layer (no sequence numbers, no CRC
-	// trailers) — the pre-hardening wire format, kept only so the
-	// transport bench can price the checksums. Both ends must agree.
-	plain bool
 	// wseq/rseq are the per-direction frame sequence numbers: wseq is
 	// stamped under wmu on send, rseq checked by the (single) reader.
 	wseq uint64
@@ -374,17 +328,59 @@ type codec struct {
 	// checksummed; gr replays one verified frame body to the decoder.
 	gw frameBuffer
 	gr frameReader
-	// wbuf stages frame headers and payload chunks on the send side
-	// (guarded by wmu); rhdr collects received header bytes for
-	// checksumming and scratch stages received payload chunks. Send and
-	// receive need separate buffers, because a codec may do both
-	// concurrently (the master link). names interns array names decoded
-	// from raw frames so the steady-state rotation path allocates no
-	// strings.
-	wbuf    []byte
-	rhdr    []byte
-	scratch []byte
-	names   map[string]string
+	// Send side (guarded by wmu): wbuf stages gob frame headers and
+	// whole 'R' frames, so it grows to the largest partition sent and
+	// then stops allocating. Receive side: psrc checksums every header
+	// byte read after the tag and feeds an 'R' frame's layout to pdec,
+	// whose pooled storage and interned names keep the steady-state
+	// rotation path allocation-light. Send and receive need separate
+	// state, because a codec may do both concurrently (the master
+	// link).
+	wbuf []byte
+	psrc frameSource
+	pdec *dsm.Decoder
+}
+
+// frameSource reads a frame's fields from the codec's buffered reader,
+// checksumming exactly the bytes read (so a non-canonical encoding is
+// checked as sent), and is the dsm.Source of an 'R' frame's layout,
+// staging Next's bytes in a buffer kept across frames. err records an
+// I/O failure, telling a dead peer apart from malformed bytes.
+type frameSource struct {
+	br    *bufio.Reader
+	crc   uint32
+	err   error
+	one   [1]byte
+	stage []byte
+}
+
+// start begins a frame: the checksum covers everything after the tag.
+func (s *frameSource) start() {
+	s.crc, s.err = 0, nil
+}
+
+func (s *frameSource) ReadByte() (byte, error) {
+	b, err := s.br.ReadByte()
+	if err != nil {
+		s.err = err
+		return 0, err
+	}
+	s.one[0] = b
+	s.crc = crc32.Update(s.crc, castagnoli, s.one[:])
+	return b, nil
+}
+
+func (s *frameSource) Next(n int) ([]byte, error) {
+	if cap(s.stage) < n {
+		s.stage = make([]byte, n)
+	}
+	b := s.stage[:n]
+	if _, err := io.ReadFull(s.br, b); err != nil {
+		s.err = err
+		return nil, err
+	}
+	s.crc = crc32.Update(s.crc, castagnoli, b)
+	return b, nil
 }
 
 // frameBuffer is the gob encoder's staging sink: one Encode call's
@@ -426,6 +422,8 @@ func newCodec(conn net.Conn) *codec {
 	c := &codec{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	c.enc = gob.NewEncoder(&c.gw)
 	c.dec = gob.NewDecoder(&c.gr)
+	c.psrc.br = c.br
+	c.pdec = dsm.NewDecoder(bufpool.GetF64)
 	return c
 }
 
@@ -459,14 +457,16 @@ func (c *codec) condemn(reason string) error {
 	return &FrameCorruptError{Label: c.label, Reason: reason}
 }
 
-// corruptOrIO maps a header-read failure to either corruption (a
-// malformed varint can only come from a hostile or damaged stream) or a
-// plain transport error (the peer died mid-frame).
-func (c *codec) corruptOrIO(err error) error {
-	if errors.Is(err, errMalformedVarint) {
-		return c.condemn(err.Error())
+// readUvarint reads one checksummed frame header field. Bytes that
+// arrived but do not form a uvarint can only come from a hostile or
+// damaged stream and condemn the link; an I/O failure (the peer died
+// mid-frame) is returned as it is.
+func (c *codec) readUvarint() (uint64, error) {
+	x, err := binary.ReadUvarint(&c.psrc)
+	if err != nil && c.psrc.err == nil {
+		return 0, c.condemn("malformed uvarint")
 	}
-	return err
+	return x, err
 }
 
 func (c *codec) send(m *Msg) error {
@@ -477,11 +477,8 @@ func (c *codec) send(m *Msg) error {
 		return err
 	}
 	body := c.gw.buf
-	h := append(c.wbuf[:0], tagGob)
-	if !c.plain {
-		h = binary.AppendUvarint(h, c.wseq)
-		c.wseq++
-	}
+	h := binary.AppendUvarint(append(c.wbuf[:0], tagGob), c.wseq)
+	c.wseq++
 	h = binary.AppendUvarint(h, uint64(len(body)))
 	c.wbuf = h[:0]
 	if _, err := c.bw.Write(h); err != nil {
@@ -490,14 +487,11 @@ func (c *codec) send(m *Msg) error {
 	if _, err := c.bw.Write(body); err != nil {
 		return err
 	}
-	if !c.plain {
-		crc := crc32.Update(0, castagnoli, h[1:])
-		crc = crc32.Update(crc, castagnoli, body)
-		var tr [frameTrailerLen]byte
-		binary.LittleEndian.PutUint32(tr[:], crc)
-		if _, err := c.bw.Write(tr[:]); err != nil {
-			return err
-		}
+	var tr [frameTrailerLen]byte
+	crc := crc32.Update(crc32.Update(0, castagnoli, h[1:]), castagnoli, body)
+	binary.LittleEndian.PutUint32(tr[:], crc)
+	if _, err := c.bw.Write(tr[:]); err != nil {
+		return err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return err
@@ -548,7 +542,7 @@ func (c *codec) decodeFrame(m *Msg) error {
 	case tagGob:
 		return c.readGobFrame(m)
 	case tagRaw:
-		return c.readRawRotation(m)
+		return c.readPartitionFrame(m)
 	default:
 		return c.condemn(fmt.Sprintf("unknown frame tag %#x", tag))
 	}
@@ -558,19 +552,14 @@ func (c *codec) decodeFrame(m *Msg) error {
 // consumed), verifies its CRC32C trailer and sequence number, and only
 // then lets the gob decoder touch the body.
 func (c *codec) readGobFrame(m *Msg) error {
-	hdr := c.rhdr[:0]
-	var seq uint64
-	var err error
-	if !c.plain {
-		if seq, err = readUvarintRaw(c.br, &hdr); err != nil {
-			c.rhdr = hdr[:0]
-			return c.corruptOrIO(err)
-		}
-	}
-	length, err := readUvarintRaw(c.br, &hdr)
-	c.rhdr = hdr[:0]
+	c.psrc.start()
+	seq, err := c.readUvarint()
 	if err != nil {
-		return c.corruptOrIO(err)
+		return err
+	}
+	length, err := c.readUvarint()
+	if err != nil {
+		return err
 	}
 	if length > maxGobFrameLen {
 		return c.condemn(fmt.Sprintf("gob frame length %d exceeds the %d cap", length, maxGobFrameLen))
@@ -601,20 +590,8 @@ func (c *codec) readGobFrame(m *Msg) error {
 			remaining -= n
 		}
 	}
-	if !c.plain {
-		crc := crc32.Update(0, castagnoli, hdr)
-		crc = crc32.Update(crc, castagnoli, c.gr.data)
-		var tr [frameTrailerLen]byte
-		if _, err := io.ReadFull(c.br, tr[:]); err != nil {
-			return err
-		}
-		if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
-			return c.condemn(fmt.Sprintf("gob frame checksum mismatch (wire %08x, computed %08x)", got, crc))
-		}
-		if seq != c.rseq {
-			return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
-		}
-		c.rseq++
+	if err := c.verifyTrailer("gob", crc32.Update(c.psrc.crc, castagnoli, c.gr.data), seq); err != nil {
+		return err
 	}
 	c.gr.pos = 0
 	if err := c.dec.Decode(m); err != nil {
@@ -630,101 +607,36 @@ func (c *codec) readGobFrame(m *Msg) error {
 // read while the claimed length is still unverified by arrived bytes.
 const frameReadChunk = 1 << 20
 
-// rawChunkElems is how many float64s a raw frame stages through the
-// codec scratch per conversion pass on both send and receive. Staging
-// is a codec-local detail — the payload is one contiguous byte stream,
-// so the two ends of a link may chunk it differently. The width was
-// raised from 512 when the integrity layer landed: fewer, larger
-// buffer-flush rendezvous more than pay for the CRC32C pass over the
-// same bytes, so the hardened path outruns the pre-hardening transport
-// outright. plain codecs keep the original 512 so the transport
-// baseline's raw-nocrc row reproduces the pre-hardening path exactly —
-// wire format and staging both.
-const (
-	rawChunkElems      = 4096
-	rawChunkElemsPlain = 512
-)
-
-// chunkElems is this codec's raw staging granularity (see
-// rawChunkElems).
-func (c *codec) chunkElems() int {
-	if c.plain {
-		return rawChunkElemsPlain
+// verifyTrailer reads a frame's CRC32C trailer and checks it against
+// the computed checksum, then checks the frame's sequence number.
+func (c *codec) verifyTrailer(kind string, crc uint32, seq uint64) error {
+	var tr [frameTrailerLen]byte
+	if _, err := io.ReadFull(c.br, tr[:]); err != nil {
+		return err
 	}
-	return rawChunkElems
+	if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
+		return c.condemn(fmt.Sprintf("%s frame checksum mismatch (wire %08x, computed %08x)", kind, got, crc))
+	}
+	if seq != c.rseq {
+		return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
+	}
+	c.rseq++
+	return nil
 }
 
-// sendRotation ships one rotated partition to the peer. Dense
-// partitions go as a length-prefixed raw frame gathered directly from
-// the partition's backing storage — no intermediate gob blob, no
-// per-message allocation. Sparse partitions fall back to the gob
-// message path. Returns the frame's wire size in bytes.
-func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
-	data, _ := p.Local.DenseData()
-	if data == nil {
-		blob, err := p.Encode()
-		if err != nil {
-			return 0, err
-		}
-		if err := c.send(&Msg{Kind: MsgRotate, Array: array, PartBlob: blob}); err != nil {
-			return 0, err
-		}
-		return int64(len(blob)), nil
-	}
-	dims := p.Local.Dims()
+// sendRotation ships one rotated partition to the peer as an 'R' frame:
+// tag · sequence number · partition layout · CRC32C, assembled in the
+// codec's reusable send buffer (no per-message allocation once it has
+// grown to the partition's size). Returns the frame's wire size.
+func (c *codec) sendRotation(p *dsm.Partition) (int64, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	h := append(c.wbuf[:0], tagRaw)
-	if !c.plain {
-		h = binary.AppendUvarint(h, c.wseq)
-		c.wseq++
-	}
-	h = binary.AppendUvarint(h, uint64(len(array)))
-	h = append(h, array...)
-	h = binary.AppendUvarint(h, uint64(p.Dim))
-	h = binary.AppendUvarint(h, uint64(p.Lo))
-	h = binary.AppendUvarint(h, uint64(p.Hi))
-	h = binary.AppendUvarint(h, uint64(len(dims)))
-	for _, d := range dims {
-		h = binary.AppendUvarint(h, uint64(d))
-	}
-	h = binary.AppendUvarint(h, uint64(len(data)))
-	c.wbuf = h[:0]
-	if _, err := c.bw.Write(h); err != nil {
+	f := dsm.AppendPartition(binary.AppendUvarint(append(c.wbuf[:0], tagRaw), c.wseq), p)
+	c.wseq++
+	f = binary.LittleEndian.AppendUint32(f, crc32.Update(0, castagnoli, f[1:]))
+	c.wbuf = f[:0]
+	if _, err := c.bw.Write(f); err != nil {
 		return 0, err
-	}
-	var crc uint32
-	wire := int64(len(h)) + int64(len(data))*8
-	if !c.plain {
-		crc = crc32.Update(0, castagnoli, h[1:])
-		wire += frameTrailerLen
-	}
-	ce := c.chunkElems()
-	if cap(c.wbuf) < ce*8 {
-		c.wbuf = make([]byte, ce*8)
-	}
-	buf := c.wbuf[:ce*8]
-	for off := 0; off < len(data); off += ce {
-		n := len(data) - off
-		if n > ce {
-			n = ce
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(data[off+i]))
-		}
-		if !c.plain {
-			crc = crc32.Update(crc, castagnoli, buf[:n*8])
-		}
-		if _, err := c.bw.Write(buf[:n*8]); err != nil {
-			return 0, err
-		}
-	}
-	if !c.plain {
-		var tr [frameTrailerLen]byte
-		binary.LittleEndian.PutUint32(tr[:], crc)
-		if _, err := c.bw.Write(tr[:]); err != nil {
-			return 0, err
-		}
 	}
 	if err := c.bw.Flush(); err != nil {
 		return 0, err
@@ -732,152 +644,39 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 	if c.stats != nil {
 		c.stats.MsgsSent.Inc()
 	}
-	return wire, nil
+	return int64(len(f)), nil
 }
 
-// readRawRotation decodes a raw rotation frame (tag already consumed)
-// into m: the partition range lands in PartDim/PartLo/PartHi/PartDims
-// and the dense payload in Values, scattered into pooled storage. Every
-// header field is bounds-checked before anything is sized by it, and
-// the payload stays codec-internal until the CRC trailer and sequence
-// number verify — a corrupt frame's values are returned to the pool,
-// never handed to the caller, so they can never reach a dsm.Partition.
-func (c *codec) readRawRotation(m *Msg) error {
-	hdr := c.rhdr[:0]
-	// Keep the grown header storage whatever path exits.
-	defer func() { c.rhdr = hdr[:0] }()
-	var seq uint64
-	var err error
-	if !c.plain {
-		if seq, err = readUvarintRaw(c.br, &hdr); err != nil {
-			return c.corruptOrIO(err)
-		}
-	}
-	nameLen, err := readUvarintRaw(c.br, &hdr)
+// readPartitionFrame decodes an 'R' frame (tag already consumed) into
+// m.part. dsm's decoder bounds-checks the layout against the live
+// element cap before sizing anything by it, dense storage comes from
+// bufpool, and the partition stays codec-internal until the CRC trailer
+// and sequence number verify — a corrupt frame's storage goes back to
+// the pool, never to the caller, so it can never be installed.
+func (c *codec) readPartitionFrame(m *Msg) error {
+	c.psrc.start()
+	seq, err := c.readUvarint()
 	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	if nameLen > maxRawNameLen {
-		return c.condemn(fmt.Sprintf("raw rotation frame: array name length %d exceeds the %d cap", nameLen, maxRawNameLen))
-	}
-	need := len(hdr) + int(nameLen)
-	if cap(hdr) < need {
-		grown := make([]byte, len(hdr), need+64)
-		copy(grown, hdr)
-		hdr = grown
-	}
-	nb := hdr[len(hdr):need]
-	if _, err := io.ReadFull(c.br, nb); err != nil {
 		return err
 	}
-	hdr = hdr[:need]
-	name := c.intern(nb)
-	dim, err := readUvarintRaw(c.br, &hdr)
+	p, err := c.pdec.Decode(&c.psrc, frameElemCap())
 	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	lo, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	hi, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	ndims, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	if ndims > maxRawDims {
-		return c.condemn(fmt.Sprintf("raw rotation frame: rank %d exceeds the %d cap", ndims, maxRawDims))
-	}
-	extent := uint64(1)
-	m.PartDims = m.PartDims[:0]
-	for i := uint64(0); i < ndims; i++ {
-		d, err := readUvarintRaw(c.br, &hdr)
-		if err != nil {
-			return c.corruptOrIO(err)
+		var le *dsm.LayoutError
+		if errors.As(err, &le) {
+			return c.condemn("partition frame: " + le.Reason)
 		}
-		if d > hardRawElemCap || extent > hardRawElemCap {
-			return c.condemn(fmt.Sprintf("raw rotation frame: dimension extent overflow (%d x %d)", extent, d))
-		}
-		m.PartDims = append(m.PartDims, int64(d))
-		extent *= d
+		return err
 	}
-	count, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	if count != extent {
-		return c.condemn(fmt.Sprintf("raw rotation frame: %d elements for extent %d", count, extent))
-	}
-	if cp := frameElemCap(); count > uint64(cp) {
-		return c.condemn(fmt.Sprintf("raw rotation frame: %d elements exceeds the configured cap %d", count, cp))
-	}
-	var crc uint32
-	if !c.plain {
-		crc = crc32.Update(0, castagnoli, hdr)
-	}
-	vals := bufpool.GetF64(int(count))
-	ce := c.chunkElems()
-	if cap(c.scratch) < ce*8 {
-		c.scratch = make([]byte, ce*8)
-	}
-	buf := c.scratch[:ce*8]
-	for off := 0; off < len(vals); off += ce {
-		n := len(vals) - off
-		if n > ce {
-			n = ce
+	if err := c.verifyTrailer("partition", c.psrc.crc, seq); err != nil {
+		if data, _ := p.Local.DenseData(); data != nil {
+			bufpool.PutF64(data)
 		}
-		if _, err := io.ReadFull(c.br, buf[:n*8]); err != nil {
-			bufpool.PutF64(vals)
-			return err
-		}
-		if !c.plain {
-			crc = crc32.Update(crc, castagnoli, buf[:n*8])
-		}
-		for i := 0; i < n; i++ {
-			vals[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-	}
-	if !c.plain {
-		var tr [frameTrailerLen]byte
-		if _, err := io.ReadFull(c.br, tr[:]); err != nil {
-			bufpool.PutF64(vals)
-			return err
-		}
-		if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
-			bufpool.PutF64(vals)
-			return c.condemn(fmt.Sprintf("raw rotation frame checksum mismatch (wire %08x, computed %08x)", got, crc))
-		}
-		if seq != c.rseq {
-			bufpool.PutF64(vals)
-			return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
-		}
-		c.rseq++
+		return err
 	}
 	m.Kind = MsgRotate
-	m.Raw = true
-	m.Array = name
-	m.PartDim = int(dim)
-	m.PartLo = int64(lo)
-	m.PartHi = int64(hi)
-	m.Values = vals
+	m.Array = p.Array
+	m.part = p
 	return nil
-}
-
-// intern returns a long-lived string for a transient name buffer
-// without allocating on repeat lookups.
-func (c *codec) intern(b []byte) string {
-	if s, ok := c.names[string(b)]; ok {
-		return s
-	}
-	if c.names == nil {
-		c.names = map[string]string{}
-	}
-	s := string(b)
-	c.names[s] = s
-	return s
 }
 
 func (c *codec) close() error { return c.conn.Close() }

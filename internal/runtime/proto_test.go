@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"math"
 	"net"
 	"testing"
 
@@ -20,32 +19,23 @@ func TestMsgReset(t *testing.T) {
 		Values:   []float64{4, 5, 6},
 		Backend:  "vm",
 		Err:      "boom",
-		Raw:      true,
-		PartDim:  1,
-		PartLo:   2,
-		PartHi:   9,
-		PartDims: []int64{3, 7},
+		part:     dsm.NewDense("w", 3).ExtractRange(0, 0, 3),
 		ArrayDims: map[string][]int64{
 			"w": {3},
 		},
 	}
 	off0 := &m.Offsets[0]
 	val0 := &m.Values[0]
-	dim0 := &m.PartDims[0]
 	m.reset()
-	if m.Kind != 0 || m.Array != "" || m.PartBlob != nil || m.Backend != "" || m.Err != "" || m.ArrayDims != nil {
+	if m.Kind != 0 || m.Array != "" || m.PartBlob != nil || m.Backend != "" || m.Err != "" || m.ArrayDims != nil || m.part != nil {
 		t.Fatalf("reset left fields set: %+v", m)
 	}
-	if m.Raw || m.PartDim != 0 || m.PartLo != 0 || m.PartHi != 0 {
-		t.Fatalf("reset left raw rotation fields set: %+v", m)
-	}
-	if len(m.Offsets) != 0 || len(m.Values) != 0 || len(m.PartDims) != 0 {
-		t.Fatalf("reset left payload lengths: %d, %d, %d", len(m.Offsets), len(m.Values), len(m.PartDims))
+	if len(m.Offsets) != 0 || len(m.Values) != 0 {
+		t.Fatalf("reset left payload lengths: %d, %d", len(m.Offsets), len(m.Values))
 	}
 	m.Offsets = m.Offsets[:1]
 	m.Values = m.Values[:1]
-	m.PartDims = m.PartDims[:1]
-	if &m.Offsets[0] != off0 || &m.Values[0] != val0 || &m.PartDims[0] != dim0 {
+	if &m.Offsets[0] != off0 || &m.Values[0] != val0 {
 		t.Fatal("reset dropped the payload backing storage")
 	}
 }
@@ -122,9 +112,9 @@ func TestRecvIntoReusesPayloadStorage(t *testing.T) {
 	<-done
 }
 
-// TestRawRotationRoundTrip: a dense partition shipped via sendRotation
-// must come back bitwise-identical through the raw frame path, and a
-// sparse partition must transparently fall back to the gob path.
+// TestRawRotationRoundTrip: dense and sparse partitions shipped via
+// sendRotation both come back bitwise-identical through the 'R' frame,
+// decoded straight into a partition.
 func TestRawRotationRoundTrip(t *testing.T) {
 	clientConn, serverConn := net.Pipe()
 	defer clientConn.Close()
@@ -138,60 +128,29 @@ func TestRawRotationRoundTrip(t *testing.T) {
 			a.SetAt(float64(i)*10+float64(j)+0.125, i, j)
 		}
 	}
-	p := a.ExtractRange(1, 1, 3)
-
-	go func() {
-		if _, err := cc.sendRotation("w", p); err != nil {
-			t.Error(err)
-		}
-	}()
-	var in Msg
-	if err := sc.recvInto(&in); err != nil {
-		t.Fatal(err)
-	}
-	if !in.Raw || in.Kind != MsgRotate || in.Array != "w" {
-		t.Fatalf("raw frame decoded as %+v", in)
-	}
-	if in.PartDim != 1 || in.PartLo != 1 || in.PartHi != 3 {
-		t.Fatalf("partition range came back as dim=%d [%d,%d)", in.PartDim, in.PartLo, in.PartHi)
-	}
-	got, err := partitionFromMsg(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := p.Local.DenseData()
-	gotData, _ := got.Local.DenseData()
-	if len(gotData) != len(want) {
-		t.Fatalf("decoded %d elements, want %d", len(gotData), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(gotData[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("element %d: got %v, want %v (not bitwise equal)", i, gotData[i], want[i])
-		}
-	}
-
-	// Sparse partitions fall back to the gob message path.
 	s := dsm.NewSparse("idx", 8)
 	s.SetAt(2.5, 3)
-	sp := s.ExtractRange(0, 0, 8)
-	go func() {
-		if _, err := cc.sendRotation("idx", sp); err != nil {
-			t.Error(err)
+	s.SetAt(-0.75, 6)
+	for _, p := range []*dsm.Partition{a.ExtractRange(1, 1, 3), s.ExtractRange(0, 0, 8)} {
+		go func() {
+			if _, err := cc.sendRotation(p); err != nil {
+				t.Error(err)
+			}
+		}()
+		var in Msg
+		if err := sc.recvInto(&in); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	var in2 Msg
-	if err := sc.recvInto(&in2); err != nil {
-		t.Fatal(err)
-	}
-	if in2.Raw || in2.Kind != MsgRotate || in2.PartBlob == nil {
-		t.Fatalf("sparse rotation decoded as %+v", in2)
-	}
-	got2, err := partitionFromMsg(&in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Local.At(3) != 2.5 {
-		t.Fatalf("sparse round trip lost data: got %v", got2.Local.At(3))
+		got := in.part
+		if in.Kind != MsgRotate || in.Array != p.Array || got == nil {
+			t.Fatalf("rotation frame decoded as %+v", in)
+		}
+		if got.Dim != p.Dim || got.Lo != p.Lo || got.Hi != p.Hi || got.Local.IsDense() != p.Local.IsDense() {
+			t.Fatalf("partition came back as dim=%d [%d,%d), dense %v", got.Dim, got.Lo, got.Hi, got.Local.IsDense())
+		}
+		if want, back := dsm.MarshalPartition(p), dsm.MarshalPartition(got); string(want) != string(back) {
+			t.Fatalf("%s: round trip not bitwise equal", p.Array)
+		}
 	}
 }
 
@@ -209,22 +168,32 @@ func TestRawRotationAllocs(t *testing.T) {
 	p := a.ExtractRange(1, 0, 128)
 	var in Msg
 	roundTrip := func() {
-		go cc.sendRotation("w", p)
+		go cc.sendRotation(p)
 		if err := sc.recvInto(&in); err != nil {
 			t.Fatal(err)
 		}
-		bufpool.PutF64(in.Values)
-		in.Values = nil
+		releasePart(&in)
 	}
 	for i := 0; i < 3; i++ {
 		roundTrip()
 	}
 	allocs := testing.AllocsPerRun(100, roundTrip)
 	// Budget: the sender goroutine itself, the pool's Put indirection,
-	// and net.Pipe scheduling — but no payload-sized allocations. The
-	// gob partition path costs >40 objects per rotation at this size.
+	// net.Pipe scheduling, and the decoded partition (two objects) —
+	// but no payload-sized allocations. The gob partition path costs
+	// >40 objects per rotation at this size.
 	if allocs > 8 {
 		t.Fatalf("raw rotation round trip allocates %.0f objects, want <= 8", allocs)
+	}
+}
+
+// releasePart returns a received rotation's pooled dense storage.
+func releasePart(m *Msg) {
+	if m.part != nil {
+		if data, _ := m.part.Local.DenseData(); data != nil {
+			bufpool.PutF64(data)
+		}
+		m.part = nil
 	}
 }
 

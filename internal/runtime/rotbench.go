@@ -18,22 +18,12 @@ import (
 type RotationBench struct {
 	cc, sc *codec
 	stats  *obs.PeerStats
+	ack    Msg
 	done   chan struct{}
 }
 
 // NewRotationBench builds the codec pair and starts the sink.
 func NewRotationBench() *RotationBench {
-	return newRotationBench(false)
-}
-
-// NewRotationBenchPlain builds a pair running the pre-hardening wire
-// format — no sequence numbers, no CRC32C trailers — so the transport
-// baseline can price the integrity layer against it.
-func NewRotationBenchPlain() *RotationBench {
-	return newRotationBench(true)
-}
-
-func newRotationBench(plain bool) *RotationBench {
 	client, server := net.Pipe()
 	stats := obs.NewRegistry().GetPeer("rotbench")
 	rb := &RotationBench{
@@ -42,15 +32,13 @@ func newRotationBench(plain bool) *RotationBench {
 		stats: stats,
 		done:  make(chan struct{}),
 	}
-	rb.cc.plain = plain
-	rb.sc.plain = plain
 	go rb.sink()
 	return rb
 }
 
-// sink receives rotations, materializes the partition exactly as the
-// executor's rotation-install step does, recycles pooled raw payloads
-// (the steady-state fold), and acks each frame.
+// sink receives rotations, installs each decoded partition the way
+// the executor's fold does (recycling pooled dense storage), and acks
+// each frame.
 func (rb *RotationBench) sink() {
 	defer close(rb.done)
 	var in, ack Msg
@@ -58,18 +46,13 @@ func (rb *RotationBench) sink() {
 		if err := rb.sc.recvInto(&in); err != nil {
 			return
 		}
-		if in.Kind == MsgShutdown {
+		if in.Kind == MsgShutdown || in.part == nil {
 			return
 		}
-		p, err := partitionFromMsg(&in)
-		if err != nil {
-			return
-		}
-		if in.Raw {
-			data, _ := p.Local.DenseData()
+		if data, _ := in.part.Local.DenseData(); data != nil {
 			bufpool.PutF64(data)
-			in.Values = nil
 		}
+		in.part = nil
 		ack.reset()
 		ack.Kind = MsgAck
 		if err := rb.sc.send(&ack); err != nil {
@@ -78,25 +61,13 @@ func (rb *RotationBench) sink() {
 	}
 }
 
-// RoundTrip ships one partition and waits for the sink's ack. gobBlob
-// forces the legacy per-message gob partition encoding; otherwise dense
-// partitions take the raw frame path. ack is caller-owned reusable
-// receive storage.
-func (rb *RotationBench) RoundTrip(array string, p *dsm.Partition, gobBlob bool, ack *Msg) error {
-	if gobBlob {
-		blob, err := p.Encode()
-		if err != nil {
-			return err
-		}
-		if err := rb.cc.send(&Msg{Kind: MsgRotate, Array: array, PartBlob: blob}); err != nil {
-			return err
-		}
-	} else {
-		if _, err := rb.cc.sendRotation(array, p); err != nil {
-			return err
-		}
+// RoundTrip ships one partition as a rotation frame and waits for the
+// sink's ack.
+func (rb *RotationBench) RoundTrip(p *dsm.Partition) error {
+	if _, err := rb.cc.sendRotation(p); err != nil {
+		return err
 	}
-	return rb.cc.recvInto(ack)
+	return rb.cc.recvInto(&rb.ack)
 }
 
 // BytesSent returns the cumulative wire bytes the client end has
